@@ -122,13 +122,6 @@ class CycloNum:
         vec[0] = Fraction(c)
         return CycloNum(order, tuple(vec))
 
-    @staticmethod
-    def _from_power(order: int, k: int) -> "CycloNum":
-        k %= order
-        raw = [Fraction(0)] * (k + 1)
-        raw[k] = Fraction(1)
-        return CycloNum(order, _reduce(raw, order))
-
     # -- order embedding -----------------------------------------------------
 
     def to_order(self, m: int) -> "CycloNum":
@@ -269,11 +262,33 @@ def _coerce(x):
     return NotImplemented
 
 
-def root(n: int, k: int) -> CycloNum:
-    """The root of unity e^(pi*i*k/n) as an element of Q(zeta_2n)."""
+@lru_cache(maxsize=None)
+def _powers(n: int) -> tuple[CycloNum, ...]:
+    """e^(pi*i*k/n) for k = 0 .. 2n - 1, each reduced once: 2n entries per n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return CycloNum._from_power(2 * n, k)
+    return tuple(CycloNum(2 * n, _reduce([Fraction(0)] * k + [Fraction(1)], 2 * n))
+                 for k in range(2 * n))
+
+
+def root(n: int, k: int) -> CycloNum:
+    """The root of unity e^(pi*i*k/n) as an element of Q(zeta_2n)."""
+    return _powers(n)[k % (2 * n)]
+
+
+def root_sum(n: int, terms) -> CycloNum:
+    """Sum of c * e^(pi*i*k/n) over (k, c) pairs, in Q(zeta_2n): exponents are
+    bucketed mod 2n, then the power table is combined once."""
+    powers = _powers(n)
+    weights = [0] * (2 * n)
+    for k, c in terms:
+        weights[k % (2 * n)] += c
+    vec = [Fraction(0)] * _phi(2 * n)
+    for w, power in zip(weights, powers):
+        if w:
+            for i, x in enumerate(power.coeffs):
+                vec[i] += w * x
+    return CycloNum(2 * n, tuple(vec))
 
 
 def cyclo_arith(x: CycloNum, y: CycloNum, op: str):
@@ -303,8 +318,4 @@ def eval_at_root(p: LaurentPoly, n: int, k: int) -> CycloNum:
     """
     if len(p.vars) > 1:
         raise PolyError("evaluation needs a one-variable polynomial")
-    total = CycloNum.from_rational(0, 4 * n)
-    for exps, c in p.terms:
-        m = exps[0] if exps else 0
-        total = total + c * root(2 * n, k * m)
-    return total
+    return root_sum(2 * n, ((k * exps[0] if exps else 0, c) for exps, c in p.terms))

@@ -16,12 +16,15 @@ e^(-pi*i/n); those facts are what the verification suite exercises.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 
-from .cyclo import CycloNum, root
+from .cyclo import CycloNum, root_sum
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+_ZERO = Fraction(0)
 
 
 class ComplexError(ValueError):
@@ -39,8 +42,42 @@ def _freeze_matrix(rows, nrows: int, ncols: int) -> Matrix:
     for row in rows:
         if len(row) != ncols:
             raise ComplexError("shape", f"expected {ncols} columns, got {len(row)}")
-        out.append(tuple(Fraction(x) for x in row))
+        out.append(tuple(x if type(x) is Fraction else
+                         _ZERO if type(x) is int and not x else Fraction(x) for x in row))
     return tuple(out)
+
+
+def _check_n(n) -> None:
+    if type(n) is bool or not isinstance(n, int) or n < 1:
+        raise ComplexError("shape", f"n must be an integer >= 1, got {n!r}")
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """Degrees and filtration levels: plain integers only, never truncated."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is bool or not isinstance(x, int):
+            raise ComplexError("shape", f"{what} must be an integer, got {x!r}")
+    return values
+
+
+def _nonzero_columns(mat, ncols: int) -> list[dict[int, Fraction]]:
+    """For each column, its nonzero entries by row, in one pass over the rows."""
+    out: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if x:
+                out[j][i] = x
+    return out
+
+
+def _apply(cols: list[dict], vec: dict) -> dict:
+    """A matrix, given by its nonzero columns, times a sparse vector."""
+    out: dict = {}
+    for k, x in vec.items():
+        for i, y in cols[k].items():
+            out[i] = out.get(i, 0) + y * x
+    return {i: v for i, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -64,9 +101,8 @@ class FracComplex:
 
 def build(n: int, degrees, diff, filtration=None, names=None) -> FracComplex:
     """Validate and build; raises ComplexError with the failing invariant."""
-    if n < 1:
-        raise ComplexError("shape", "n must be >= 1")
-    degrees = tuple(int(u) for u in degrees)
+    _check_n(n)
+    degrees = _integers(degrees, "degree")
     m = len(degrees)
     diff = _freeze_matrix(diff, m, m)
     if names is None:
@@ -75,7 +111,7 @@ def build(n: int, degrees, diff, filtration=None, names=None) -> FracComplex:
         names = tuple(names)
         if len(names) != m:
             raise ComplexError("shape", "name count does not match generators")
-    support = [[i for i in range(m) if diff[i][j] != 0] for j in range(m)]
+    support = _nonzero_columns(diff, m)
     for j in range(m):
         for i in support[j]:
             if degrees[i] != degrees[j] + n:
@@ -83,18 +119,17 @@ def build(n: int, degrees, diff, filtration=None, names=None) -> FracComplex:
                     "degree",
                     f"d({names[j]}) hits {names[i]}: degree step "
                     f"{Fraction(degrees[i] - degrees[j], n)} instead of 1")
-    # d^2 = 0, walking only the nonzero entries
+    # d^2 = 0, walking only the nonzero entries, in integers: d scaled by the
+    # lcm of its denominators squares to d^2 scaled by that lcm squared
+    scale = lcm(*(x.denominator for col in support for x in col.values()))
+    scaled = [{i: x.numerator * (scale // x.denominator) for i, x in col.items()}
+              for col in support]
     for j in range(m):
-        acc: dict[int, Fraction] = {}
-        for k in support[j]:
-            ckj = diff[k][j]
-            for i in support[k]:
-                acc[i] = acc.get(i, Fraction(0)) + diff[i][k] * ckj
-        for i, s in acc.items():
-            if s != 0:
-                raise ComplexError("d2", f"d^2({names[j]}) has {names[i]}-coefficient {s}")
+        for i, s in _apply(scaled, scaled[j]).items():
+            raise ComplexError("d2", f"d^2({names[j]}) has {names[i]}-coefficient "
+                                     f"{Fraction(s, scale * scale)}")
     if filtration is not None:
-        filtration = tuple(int(x) for x in filtration)
+        filtration = _integers(filtration, "filtration level")
         if len(filtration) != m:
             raise ComplexError("shape", "filtration length does not match generators")
         for j in range(m):
@@ -106,53 +141,102 @@ def build(n: int, degrees, diff, filtration=None, names=None) -> FracComplex:
     return FracComplex(n, degrees, diff, names, filtration)
 
 
-# -- exact linear algebra -------------------------------------------------------
+# -- exact elimination ------------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    rows = [row for row in rows[:r]]
-    return rows, pivots
+def _eliminate(a: list[int], b: list[int], c: int) -> list[int]:
+    """Row a with column c cleared by row b (b[c] != 0), divided by its content."""
+    g = gcd(a[c], b[c])
+    p, q = b[c] // g, a[c] // g
+    out = [x * p - y * q for x, y in zip(a, b)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
-def _rank(rows) -> int:
-    return len(_rref(rows)[0])
+class Echelon:
+    """Row echelon form of rational rows, kept over the integers.
+
+    ``add`` scales a row by the lcm of its denominators and reduces it against
+    the stored rows with fraction-free integer row operations (as in Bareiss
+    1968), dividing out each row's content to keep entries small.  Fractions
+    appear only where ``rref`` and ``kernel`` divide by the pivots.  Rows stay
+    sorted by pivot column and span exactly the rows added.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        for row in rows:
+            self.add(row)
+
+    def add(self, row) -> bool:
+        """Add a row; True when it is independent of the rows added before."""
+        den = lcm(*(x.denominator for x in row))
+        v = [x.numerator * (den // x.denominator) for x in row]
+        for r, pc in zip(self.rows, self.pivots):
+            if v[pc]:
+                v = _eliminate(v, r, pc)
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        g = gcd(*v)
+        k = bisect(self.pivots, lead)
+        self.rows.insert(k, [x // g for x in v])
+        self.pivots.insert(k, lead)
+        return True
+
+    def reduced(self) -> list[list[int]]:
+        """Integer rows that are zero in every other row's pivot column: the
+        reduced row echelon form up to one scale factor per row."""
+        rows = list(self.rows)
+        for k in range(len(rows) - 1, 0, -1):
+            pc = self.pivots[k]
+            for i in range(k):
+                if rows[i][pc]:
+                    rows[i] = _eliminate(rows[i], rows[k], pc)
+        return rows
+
+    def rref(self) -> list[list[Fraction]]:
+        """The reduced row echelon form, one row per pivot."""
+        return [[Fraction(x, r[pc]) for x in r] for r, pc in zip(self.reduced(), self.pivots)]
 
 
-def _kernel(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the null space of the matrix (rows = constraints)."""
-    rref, pivots = _rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
+def rank(rows) -> int:
+    return len(Echelon(rows).pivots)
+
+
+def kernel(matrix, ncols: int) -> list[list[Fraction]]:
+    """Basis of the null space of the matrix (rows = constraints), one vector
+    per free column, read off the unique reduced row echelon form."""
+    ech = Echelon(matrix)
+    reduced, pivots = ech.reduced(), ech.pivots
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [_ZERO] * ncols
         v[fc] = Fraction(1)
-        for row, pc in zip(rref, pivots):
-            v[pc] = -row[fc]
+        for row, pc in zip(reduced, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
-def _matvec(rows: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
+def _by_degree(c: FracComplex) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for i, u in enumerate(c.degrees):
+        out.setdefault(u, []).append(i)
+    return out
+
+
+def _block(c: FracComplex, rows: list[int], cols: list[int]) -> list[list[Fraction]]:
+    return [[c.diff[i][j] for j in cols] for i in rows]
+
+
+def _scatter(v, positions: list[int], size: int) -> list[Fraction]:
+    out = [_ZERO] * size
+    for x, k in zip(v, positions):
+        out[k] = x
+    return out
 
 
 # -- core operations -------------------------------------------------------------
@@ -165,18 +249,12 @@ def shift(c: FracComplex, units: int) -> FracComplex:
 
 def euler_char(c: FracComplex) -> CycloNum:
     """Sum of e^(pi*i*deg) over generators, an element of Z[e^(pi*i/n)]."""
-    total = CycloNum.from_rational(0, 2 * c.n)
-    for u in c.degrees:
-        total = total + root(c.n, u)
-    return total
+    return root_sum(c.n, ((u, 1) for u in c.degrees))
 
 
 def chi_of_dims(n: int, dims: dict[int, int]) -> CycloNum:
     """Euler characteristic of a fractional dimension table (units -> dim)."""
-    total = CycloNum.from_rational(0, 2 * n)
-    for u, d in dims.items():
-        total = total + d * root(n, u)
-    return total
+    return root_sum(n, dims.items())
 
 
 @dataclass(frozen=True)
@@ -186,50 +264,21 @@ class HomologyResult:
 
 
 def homology(c: FracComplex) -> HomologyResult:
-    """Degree-indexed homology dimensions with representative cycles."""
-    by_degree: dict[int, list[int]] = {}
-    for i, u in enumerate(c.degrees):
-        by_degree.setdefault(u, []).append(i)
+    """Degree-indexed homology dimensions with representative cycles.
+
+    The representatives in each degree are the kernel basis vectors that are
+    independent of the image and of the representatives chosen before them.
+    """
+    by_degree = _by_degree(c)
     dims: dict[int, int] = {}
     reps: dict[int, list[tuple[Fraction, ...]]] = {}
     for u, cols in sorted(by_degree.items()):
-        rows_out = by_degree.get(u + c.n, [])
-        block_out = [[c.diff[i][j] for j in cols] for i in rows_out]
-        kern = _kernel(block_out, len(cols)) if rows_out else \
-            [[Fraction(i == k) for i in range(len(cols))] for k in range(len(cols))]
-        cols_in = by_degree.get(u - c.n, [])
-        image = []
-        for j in cols_in:
-            image.append([c.diff[i][j] for i in cols])
-        img_rref, img_pivots = _rref(image)
-        # quotient dimension and representatives: reduce kernel mod image
-        quotient_basis = []
-        work = [list(r) for r in img_rref]
-        pivots = list(img_pivots)
-        for v in kern:
-            vv = list(v)
-            for row, pc in zip(work, pivots):
-                if vv[pc] != 0:
-                    f = vv[pc]
-                    vv = [x - f * y for x, y in zip(vv, row)]
-            if any(x != 0 for x in vv):
-                # add to working rref so later vectors reduce against it
-                lead = next(i for i, x in enumerate(vv) if x != 0)
-                inv = Fraction(1) / vv[lead]
-                vv = [x * inv for x in vv]
-                ins = next((k for k, pc in enumerate(pivots) if pc > lead), len(pivots))
-                work.insert(ins, vv)
-                pivots.insert(ins, lead)
-                quotient_basis.append(v)
+        kern = kernel(_block(c, by_degree.get(u + c.n, []), cols), len(cols))
+        image = Echelon([c.diff[i][j] for i in cols] for j in by_degree.get(u - c.n, []))
+        quotient_basis = [v for v in kern if image.add(v)]
         if quotient_basis:
             dims[u] = len(quotient_basis)
-            globalized = []
-            for v in quotient_basis:
-                g = [Fraction(0)] * c.dim
-                for x, j in zip(v, cols):
-                    g[j] = x
-                globalized.append(tuple(g))
-            reps[u] = globalized
+            reps[u] = [tuple(_scatter(v, cols, c.dim)) for v in quotient_basis]
     return HomologyResult(dims, reps)
 
 
@@ -253,43 +302,27 @@ def cone(f_matrix, x: FracComplex, y: FracComplex) -> FracComplex:
     if x.n != y.n:
         raise ComplexError("shape", "root orders differ")
     f = _freeze_matrix(f_matrix, y.dim, x.dim)
-    f_support = [[i for i in range(y.dim) if f[i][j] != 0] for j in range(x.dim)]
+    f_support = _nonzero_columns(f, x.dim)
     for j in range(x.dim):
         for i in f_support[j]:
             if y.degrees[i] != x.degrees[j]:
                 raise ComplexError("degree", "chain map is not degree preserving")
     # f d_X = d_Y f, walking nonzero entries only
-    dx_support = [[k for k in range(x.dim) if x.diff[k][j] != 0] for j in range(x.dim)]
-    dy_support = [[i for i in range(y.dim) if y.diff[i][k] != 0] for k in range(y.dim)]
+    dx_support = _nonzero_columns(x.diff, x.dim)
+    dy_support = _nonzero_columns(y.diff, y.dim)
     for j in range(x.dim):
-        acc: dict[int, Fraction] = {}
-        for k in dx_support[j]:
-            for i in f_support[k]:
-                acc[i] = acc.get(i, Fraction(0)) + f[i][k] * x.diff[k][j]
-        for k in f_support[j]:
-            for i in dy_support[k]:
-                acc[i] = acc.get(i, Fraction(0)) - y.diff[i][k] * f[k][j]
-        if any(v != 0 for v in acc.values()):
+        if _apply(f_support, dx_support[j]) != _apply(dy_support, f_support[j]):
             raise ComplexError("d2", "not a chain map")
-    m = x.dim + y.dim
     degrees = tuple(u - x.n for u in x.degrees) + y.degrees
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(x.dim):
-        for j in range(x.dim):
-            rows[i][j] = -x.diff[i][j]
-    for i in range(y.dim):
-        for j in range(x.dim):
-            rows[x.dim + i][j] = f[i][j]
-        for j in range(y.dim):
-            rows[x.dim + i][x.dim + j] = y.diff[i][j]
+    rows = [[-v if v else v for v in row] + [_ZERO] * y.dim for row in x.diff]
+    rows += [f_row + dy_row for f_row, dy_row in zip(f, y.diff)]
     names = tuple(f"x:{s}" for s in x.names) + tuple(f"y:{s}" for s in y.names)
     return build(x.n, degrees, rows, names=names)
 
 
 def unknot_hfkn(n: int) -> FracComplex:
     """n generators in degrees (1-n)/n, (3-n)/n, ..., (n-1)/n, zero differential."""
-    if n < 1:
-        raise ComplexError("shape", "n must be >= 1")
+    _check_n(n)
     degs = [(1 - n) + 2 * k for k in range(n)]
     zero_rows = [[Fraction(0)] * n for _ in range(n)]
     names = [f"U^{k}" for k in range(n)]
@@ -313,22 +346,20 @@ class GradedModule:
 
 
 def build_module(n: int, degrees, endos) -> GradedModule:
-    degrees = tuple(int(u) for u in degrees)
+    _check_n(n)
+    degrees = _integers(degrees, "degree")
     m = len(degrees)
     mats = tuple(_freeze_matrix(e, m, m) for e in endos)
-    for t, mat in enumerate(mats):
-        for i in range(m):
-            for j in range(m):
-                if mat[i][j] != 0 and degrees[i] != degrees[j] + 2:
-                    raise ComplexError("degree", f"U_{t} does not raise degree by 2/n")
+    cols = [_nonzero_columns(mat, m) for mat in mats]
+    for t, col in enumerate(cols):
+        for j in range(m):
+            if any(degrees[i] != degrees[j] + 2 for i in col[j]):
+                raise ComplexError("degree", f"U_{t} does not raise degree by 2/n")
     for s in range(len(mats)):
         for t in range(s + 1, len(mats)):
-            for i in range(m):
-                for j in range(m):
-                    lhs = sum(mats[s][i][k] * mats[t][k][j] for k in range(m))
-                    rhs = sum(mats[t][i][k] * mats[s][k][j] for k in range(m))
-                    if lhs != rhs:
-                        raise ComplexError("d2", f"U_{s} and U_{t} do not commute")
+            for j in range(m):
+                if _apply(cols[s], cols[t][j]) != _apply(cols[t], cols[s][j]):
+                    raise ComplexError("d2", f"U_{s} and U_{t} do not commute")
     return GradedModule(n, degrees, mats)
 
 
@@ -382,20 +413,13 @@ class SpectralSequence:
     infinity: dict[tuple[int, int], int]
 
     def page_chi(self, r: int) -> CycloNum:
-        total = CycloNum.from_rational(0, 2 * self.n)
-        for (_, u), d in self.pages[r].items():
-            total = total + d * root(self.n, u)
-        return total
+        return root_sum(self.n, ((u, d) for (_, u), d in self.pages[r].items()))
 
     def degreewise(self, r: int) -> dict[int, int]:
         out: dict[int, int] = {}
         for (_, u), d in self.pages[r].items():
             out[u] = out.get(u, 0) + d
         return dict(sorted(out.items()))
-
-
-def _coordinate_subspace(indices, total) -> list[list[Fraction]]:
-    return [[Fraction(i == j) for i in range(total)] for j in indices]
 
 
 def spectral_sequence(c: FracComplex) -> SpectralSequence:
@@ -411,43 +435,25 @@ def spectral_sequence(c: FracComplex) -> SpectralSequence:
     levels = sorted(set(c.filtration)) or [0]
     pmin, pmax = levels[0], levels[-1]
     width = pmax - pmin
-    by_degree: dict[int, list[int]] = {}
-    for i, u in enumerate(c.degrees):
-        by_degree.setdefault(u, []).append(i)
+    by_degree = _by_degree(c)
+    z_memo: dict[tuple[int, int, int], list[list[Fraction]]] = {}
 
     def z_space(r: int, p: int, u: int) -> list[list[Fraction]]:
         """Basis of Z_r^p in degree u, as vectors over the gens at degree u."""
-        cols = [i for i in by_degree.get(u, []) if c.filtration[i] >= p]
-        allcols = by_degree.get(u, [])
-        if not cols:
-            return []
-        # constraint: d x must vanish on targets with filtration < p + r
-        targets = [i for i in by_degree.get(u + c.n, []) if c.filtration[i] < p + r]
-        mat = [[c.diff[i][j] for j in cols] for i in targets]
-        kern = _kernel(mat, len(cols)) if targets else \
-            [[Fraction(a == b) for a in range(len(cols))] for b in range(len(cols))]
-        # express over all gens of degree u
-        pos = {j: allcols.index(j) for j in cols}
-        out = []
-        for v in kern:
-            g = [Fraction(0)] * len(allcols)
-            for x, j in zip(v, cols):
-                g[pos[j]] = x
-            out.append(g)
-        return out
+        key = (r, p, u)
+        if key not in z_memo:
+            allcols = by_degree.get(u, [])
+            pos = [k for k, j in enumerate(allcols) if c.filtration[j] >= p]
+            # constraint: d x must vanish on targets with filtration < p + r
+            targets = [i for i in by_degree.get(u + c.n, []) if c.filtration[i] < p + r]
+            kern = kernel(_block(c, targets, [allcols[k] for k in pos]), len(pos))
+            z_memo[key] = [_scatter(v, pos, len(allcols)) for v in kern]
+        return z_memo[key]
 
     def d_image(space: list[list[Fraction]], u_src: int, u_dst: int) -> list[list[Fraction]]:
         """Push vectors at degree u_src through d, landing at degree u_dst."""
-        src = by_degree.get(u_src, [])
-        dst = by_degree.get(u_dst, [])
-        out = []
-        for v in space:
-            g = [Fraction(0)] * c.dim
-            for x, j in zip(v, src):
-                g[j] = x
-            w = _matvec(c.diff, g)
-            out.append([w[i] for i in dst])
-        return out
+        block = _block(c, by_degree.get(u_dst, []), by_degree.get(u_src, []))
+        return [[sum(a * x for a, x in zip(row, v) if x) for row in block] for v in space]
 
     degrees = sorted(by_degree)
     pages: list[dict[tuple[int, int], int]] = []
@@ -468,7 +474,7 @@ def spectral_sequence(c: FracComplex) -> SpectralSequence:
                     continue
                 den = z_space(r - 1, p + 1, u) + \
                     d_image(z_space(r - 1, p - r + 1, u - c.n), u - c.n, u)
-                dim = len(_rref(zr)[0]) - _rank(den)
+                dim = len(zr) - rank(den)
                 if dim:
                     page[(p, u)] = dim
         pages.append(page)
@@ -481,32 +487,22 @@ def graded_homology_dims(c: FracComplex) -> dict[tuple[int, int], int]:
     """Dimensions of the filtration's associated graded on homology."""
     if c.filtration is None:
         c = replace(c, filtration=tuple(0 for _ in range(c.dim)))
-    by_degree: dict[int, list[int]] = {}
-    for i, u in enumerate(c.degrees):
-        by_degree.setdefault(u, []).append(i)
+    by_degree = _by_degree(c)
     levels = sorted(set(c.filtration))
     out: dict[tuple[int, int], int] = {}
     for u, cols in by_degree.items():
         rows_out = by_degree.get(u + c.n, [])
-        cols_in = by_degree.get(u - c.n, [])
-        image = [[c.diff[i][j] for i in cols] for j in cols_in]
+        image = [[c.diff[i][j] for i in cols] for j in by_degree.get(u - c.n, [])]
+        image_rank = rank(image)
 
         def filtered_part(p: int) -> int:
-            sub = [j for j in cols if c.filtration[j] >= p]
-            mat = [[c.diff[i][j] for j in sub] for i in rows_out]
-            kern = _kernel(mat, len(sub)) if rows_out else \
-                [[Fraction(a == b) for a in range(len(sub))] for b in range(len(sub))]
-            vecs = []
-            for v in kern:
-                g = [Fraction(0)] * len(cols)
-                for x, j in zip(v, sub):
-                    g[cols.index(j)] = x
-                vecs.append(g)
-            return _rank(vecs + image) - _rank(image)
+            pos = [k for k, j in enumerate(cols) if c.filtration[j] >= p]
+            kern = kernel(_block(c, rows_out, [cols[k] for k in pos]), len(pos))
+            return rank([_scatter(v, pos, len(cols)) for v in kern] + image) - image_rank
 
+        parts = [filtered_part(p) for p in levels] + [0]
         for k, p in enumerate(levels):
-            nxt = levels[k + 1] if k + 1 < len(levels) else p + 1
-            d = filtered_part(p) - filtered_part(nxt)
+            d = parts[k] - parts[k + 1]
             if d:
                 out[(p, u)] = out.get((p, u), 0) + d
     return out

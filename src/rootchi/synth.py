@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .frcomplex import FracComplex, GradedModule, _kernel, build, build_module
+from .frcomplex import FracComplex, GradedModule, build, build_module, kernel
 from .gradings import DimTable, make_table
 
 
@@ -45,7 +45,7 @@ def random_complex(rng: random.Random, n: int, max_dim: int = 12,
             # row . prev_block == 0, i.e. rows lie in the left null space
             constraints = [[prev_block[i][j] for i in range(len(prev_block))]
                            for j in range(len(prev_block[0]))] if prev_block else []
-            null = _kernel(constraints, len(cols))
+            null = kernel(constraints, len(cols))
             block = []
             for _ in targets:
                 vec = [Fraction(0)] * len(cols)
@@ -97,7 +97,7 @@ def random_chain_map(rng: random.Random, x: FracComplex, y: FracComplex):
                 if (k, j) in pos:
                     row[pos[(k, j)]] -= y.diff[i][k]
             constraints.append(row)
-    basis = _kernel(constraints, len(unknowns))
+    basis = kernel(constraints, len(unknowns))
     f = [[Fraction(0)] * nx for _ in range(ny)]
     for b in basis:
         c = rng.randint(-2, 2)

@@ -117,6 +117,27 @@ def test_complex_invalid_reports_kind(tmp_path, capsys):
     assert "[degree]" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("deg_times_n", 1.5),   # was truncated to 1 and accepted
+    ("filt", 0.5),          # was accepted as a filtration level
+    ("deg_times_n", True),  # was accepted as degree 1
+    ("n", "2"),             # was a TypeError traceback
+])
+def test_complex_non_integer_grading_is_a_shape_error(tmp_path, capsys, field, value):
+    data = {"n": 2, "generators": [{"name": "x", "deg_times_n": 1, "filt": 0}],
+            "differential": [["0"]]}
+    if field == "n":
+        data["n"] = value
+    else:
+        data["generators"][0][field] = value
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run_cli(["complex", "hom", str(f)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error [shape]" in err
+
+
 def test_complex_ss_two_level(tmp_path, capsys):
     f = tmp_path / "c.json"
     f.write_text(json.dumps({

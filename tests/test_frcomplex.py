@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootchi.cyclo import CycloNum, root
-from rootchi.frcomplex import (ComplexError, build, build_module, chi_of_dims,
-                               complex_from_json, complex_to_json, cone,
-                               euler_char, graded_homology_dims, homology,
-                               koszul_tensor, shift, spectral_sequence,
-                               unknot_hfkn)
+from rootchi.frcomplex import (ComplexError, Echelon, build, build_module,
+                               chi_of_dims, complex_from_json, complex_to_json,
+                               cone, euler_char, graded_homology_dims, homology,
+                               kernel, koszul_tensor, rank, shift,
+                               spectral_sequence, unknot_hfkn)
 from rootchi.synth import random_chain_map, random_complex
 
 F = Fraction
@@ -169,3 +171,90 @@ def test_acyclic_summand_invariance():
         bigger = build(n, degrees, rows)
         assert euler_char(bigger) == euler_char(c)
         assert homology(bigger).dims == homology(c).dims
+
+
+def test_build_rejects_non_integer_grading_data():
+    for bad in [dict(n="2"), dict(n=True), dict(degrees=[1.5]), dict(degrees=[True]),
+                dict(degrees=[F(1)]), dict(filtration=[0.5])]:
+        args = dict(n=2, degrees=[0], diff=[[0]], filtration=None) | bad
+        with pytest.raises(ComplexError) as err:
+            build(**args)
+        assert err.value.kind == "shape"
+    for bad in [dict(n="2"), dict(degrees=[2.0, 0])]:
+        args = dict(n=2, degrees=[0, 2], endos=[]) | bad
+        with pytest.raises(ComplexError) as err:
+            build_module(**args)
+        assert err.value.kind == "shape"
+
+
+# -- the elimination kernel against a plain Fraction Gauss-Jordan reference -------
+
+
+def reference_rref(rows):
+    """Textbook Gauss-Jordan elimination over Fraction."""
+    rows = [[F(x) for x in r] for r in rows if any(x != 0 for x in r)]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def reference_kernel(rows, ncols):
+    reduced, pivots = reference_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+_entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 20)))
+
+
+@st.composite
+def _matrices(draw):
+    ncols = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["random", "zero", "duplicates"]))
+    entry = st.just(F(0)) if kind == "zero" else _entries
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
+    if kind == "duplicates" and rows:
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(0, len(rows) - 1))
+            scale = draw(st.sampled_from([F(1), F(-1), F(2, 3)]))
+            rows.insert(draw(st.integers(0, len(rows))), [scale * x for x in rows[k]])
+    return rows, ncols
+
+
+@given(_matrices())
+@settings(max_examples=300, deadline=None)
+def test_elimination_kernel_matches_reference(mat):
+    rows, ncols = mat
+    want, want_pivots = reference_rref(rows)
+    ech = Echelon(rows)
+    assert ech.rref() == want
+    assert ech.pivots == want_pivots
+    assert rank(rows) == len(want_pivots)
+    grown = Echelon()
+    assert [grown.add(row) for row in rows] == [
+        len(reference_rref(rows[:k + 1])[1]) > len(reference_rref(rows[:k])[1])
+        for k in range(len(rows))]
+    basis = kernel(rows, ncols)
+    assert basis == reference_kernel(rows, ncols)
+    assert all(type(x) is F for v in basis for x in v)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for v in basis for row in rows)
