@@ -9,7 +9,7 @@ import sys
 import time
 
 from rootchi.corpus import bundled_corpus
-from rootchi.verify import reports_to_json, run_link_checks
+from rootchi.verify import parse_n_range, reports_to_json, run_link_checks
 
 
 def main() -> int:
@@ -17,8 +17,10 @@ def main() -> int:
     ap.add_argument("--n-range", default="1..6")
     ap.add_argument("--report", default=None)
     args = ap.parse_args()
-    lo, _, hi = args.n_range.partition("..")
-    n_values = range(int(lo), int(hi or lo) + 1)
+    try:
+        n_values = parse_n_range(args.n_range)
+    except ValueError as e:
+        ap.error(str(e))
 
     t0 = time.perf_counter()
     reports = []

@@ -19,9 +19,11 @@ from .frcomplex import (ComplexError, complex_from_json, complex_to_json,
                         euler_char, homology, spectral_sequence, unknot_hfkn)
 from .laurent import PolyError, serialize
 from .linkdiag import DiagramError, LinkDiagram, parse_link
-from .skein import (ResourceBoundError, alexander, homfly_middle,
-                    homfly_reduced, homfly_unreduced, sln_poly)
-from .verify import VerifyReport, reports_to_json, run_link_checks
+from .skein import (BoundSettingError, ResourceBoundError, alexander,
+                    crossing_bound, homfly_middle, homfly_reduced,
+                    homfly_unreduced, sln_poly)
+from .verify import (VerifyReport, parse_n_range, reports_to_json,
+                     run_link_checks)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,6 +68,7 @@ def _verify_one(payload) -> list[VerifyReport]:
 
 
 def cmd_verify(args) -> int:
+    crossing_bound()  # a bad setting is a usage error before any work
     if args.corpus:
         try:
             entries = corpus_mod.load_corpus_file(args.corpus)
@@ -74,8 +77,7 @@ def cmd_verify(args) -> int:
             return EXIT_IO
     else:
         entries = corpus_mod.bundled_corpus()
-    lo, _, hi = args.n_range.partition("..")
-    n_values = list(range(int(lo), int(hi or lo) + 1))
+    n_values = list(args.n_range)
     payloads = [(e.name, e.source, e.expected, n_values) for e in entries]
     if args.jobs > 1 and payloads:
         try:
@@ -140,6 +142,23 @@ def cmd_complex(args) -> int:
     return EXIT_OK
 
 
+def _n_range_arg(text: str) -> range:
+    try:
+        return parse_n_range(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rootchi", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -148,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("link", help="inline PD[...]/BR[...]/U or a bundled corpus name")
     p.add_argument("--invariant", choices=["homfly", "alexander", "sln"],
                    default="homfly")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--variant", choices=["reduced", "middle", "unreduced"],
                    default="reduced")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -156,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the identity checker over a corpus")
     v.add_argument("--corpus", help="corpus file (default: bundled)")
-    v.add_argument("--n-range", default="1..6", help="e.g. 1..6")
+    v.add_argument("--n-range", type=_n_range_arg, default="1..6",
+                   help="lo..hi with 1 <= lo <= hi, e.g. 1..6")
     v.add_argument("--report", help="write the JSON report here")
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--approx", action="store_true",
@@ -175,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DiagramError, PolyError, ComplexError) as e:
+    except (DiagramError, PolyError, ComplexError, BoundSettingError) as e:
         kind = getattr(e, "kind", None)
         label = f" [{kind}]" if kind else ""
         print(f"error{label}: {e}", file=sys.stderr)

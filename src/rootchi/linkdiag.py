@@ -151,8 +151,15 @@ def make_diagram(crossings, unknot_count: int = 0, name: str | None = None) -> L
 
 
 def canonical_key(d: LinkDiagram):
-    """Hashable encoding, stable under relabeling and crossing reordering;
-    used as a memo key."""
+    """Hashable encoding of the diagram; used as the skein memo key.
+
+    The key describes the diagram completely, so equal keys mean the same
+    diagram up to edge labels and crossing order.  It is stable under reordering the crossings and under any
+    order-preserving relabeling of the edges, because ``normalize`` starts
+    each component at its smallest label.  It is not canonical: a relabeling
+    that moves a component's smallest label to another edge, such as a
+    cyclic shift of the labels of a T(3,4) closure, changes the key.
+    """
     nd = normalize(d)
     return (tuple(sorted((c.sign,) + c.edges() for c in nd.crossings)), nd.unknot_count)
 

@@ -20,6 +20,7 @@ of a silently wrong value.
 from __future__ import annotations
 
 import os
+from functools import cache
 
 from .laurent import LaurentPoly, exact_div, one, substitute, var
 from .linkdiag import (LinkDiagram, canonical_key, first_non_descending,
@@ -34,6 +35,12 @@ _T = var("t")
 _Q = var("q")
 _DELTA = (_A - _A ** -1) * _Z ** -1  # unreduced unknot value
 _A_FACTOR = _A - _A ** -1
+# constant factors of the recursion step
+_PLUS_SWITCHED = _A ** -2
+_PLUS_SMOOTHED = _A ** -1 * _Z
+_MINUS_SWITCHED = _A ** 2
+_MINUS_SMOOTHED = _A * _Z
+_Q_DIFF = _Q - _Q ** -1  # the image of z under the sl(n) specialization
 
 
 class ResourceBoundError(RuntimeError):
@@ -44,47 +51,80 @@ class InvariantError(RuntimeError):
     """An identity that must hold for genuine link polynomials failed."""
 
 
+class BoundSettingError(ValueError):
+    """The crossing bound variable holds no non-negative integer."""
+
+
 def crossing_bound() -> int:
+    """The recursion bound from the environment; the default when unset."""
     raw = os.environ.get(_ENV_BOUND)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_CROSSINGS
+    if not raw:
+        return DEFAULT_MAX_CROSSINGS
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise BoundSettingError(
+            f"{_ENV_BOUND} must be a non-negative integer, got {raw!r}")
+    return bound
+
+
+@cache
+def _delta_power(k: int) -> LaurentPoly:
+    return _DELTA ** k
+
+
+@cache
+def _q_power(k: int) -> LaurentPoly:
+    return _Q ** k
+
+
+@cache
+def _q_diff_power(k: int) -> LaurentPoly:
+    return _Q_DIFF ** k
 
 
 def _value(d: LinkDiagram, memo: dict) -> LaurentPoly:
     d = simplify(d)
     if not d.crossings:
-        return _DELTA ** d.unknot_count if d.unknot_count else one()
+        return _delta_power(d.unknot_count)
     key = canonical_key(d)
     cached = memo.get(key)
     if cached is not None:
         return cached
     bad = first_non_descending(d)
     if bad is None:
-        val = _DELTA ** d.components
+        val = _delta_power(d.components)
     else:
         switched = switch_crossing(d, bad)
         smoothed = smooth_crossing(d, bad)
         if d.crossings[bad].sign > 0:
             # this diagram is L+: P = a^-2 P(switched) + a^-1 z P(smoothed)
-            val = _A ** -2 * _value(switched, memo) + _A ** -1 * _Z * _value(smoothed, memo)
+            val = (_PLUS_SWITCHED * _value(switched, memo)
+                   + _PLUS_SMOOTHED * _value(smoothed, memo))
         else:
             # this diagram is L-: P = a^2 P(switched) - a z P(smoothed)
-            val = _A ** 2 * _value(switched, memo) - _A * _Z * _value(smoothed, memo)
+            val = (_MINUS_SWITCHED * _value(switched, memo)
+                   - _MINUS_SMOOTHED * _value(smoothed, memo))
     memo[key] = val
     return val
 
 
-def homfly_unreduced(d: LinkDiagram, max_crossings: int | None = None) -> LaurentPoly:
-    """P(L) in (a, z); split unknot components multiply in the unknot value."""
+def homfly_unreduced(d: LinkDiagram, max_crossings: int | None = None,
+                     memo: dict | None = None) -> LaurentPoly:
+    """P(L) in (a, z); split unknot components multiply in the unknot value.
+
+    ``memo`` maps ``canonical_key`` of each diagram the recursion visits to
+    its P.  A caller may pass the same dict to several calls so that they
+    share subdiagrams; the key describes a diagram completely, so a filled
+    memo never changes a result.  Without one each call starts empty.
+    """
     bound = max_crossings if max_crossings is not None else crossing_bound()
     if len(d.crossings) > bound:
         raise ResourceBoundError(
             f"{len(d.crossings)} crossings exceeds the bound {bound}")
-    return _value(d, {})
+    return _value(d, {} if memo is None else memo)
 
 
 def homfly_reduced(d: LinkDiagram, unreduced: LaurentPoly | None = None) -> LaurentPoly:
@@ -111,11 +151,12 @@ def alexander(d: LinkDiagram, unreduced: LaurentPoly | None = None) -> LaurentPo
     return substitute(r, "z", s_image)
 
 
+@cache
 def quantum_integer(n: int) -> LaurentPoly:
     """(q^n - q^-n)/(q - q^-1) as a genuine Laurent polynomial."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return exact_div(_Q ** n - _Q ** -n, _Q - _Q ** -1)
+    return exact_div(_q_power(n) - _q_power(-n), _Q_DIFF)
 
 
 def sln_poly(d: LinkDiagram, n: int, reduced: bool = True,
@@ -130,11 +171,11 @@ def sln_poly(d: LinkDiagram, n: int, reduced: bool = True,
     p = unreduced_homfly if unreduced_homfly is not None else homfly_unreduced(d)
     lo, _ = p.exponent_range("z")  # doubled exponent: actual min power is lo/2
     shift = (-lo) // 2 if lo < 0 else 0
-    cleared = p * _Z ** shift
-    s = substitute(cleared, "a", _Q ** n)
-    s = substitute(s, "z", _Q - _Q ** -1)
+    cleared = p * _Z ** shift if shift else p
+    s = substitute(cleared, "a", _q_power(n))
+    s = substitute(s, "z", _Q_DIFF)
     if shift:
-        s = exact_div(s, (_Q - _Q ** -1) ** shift)
+        s = exact_div(s, _q_diff_power(shift))
     if reduced:
         s = exact_div(s, quantum_integer(n))
     return s

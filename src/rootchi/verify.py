@@ -23,6 +23,8 @@ from .skein import (InvariantError, alexander, homfly_middle, homfly_reduced,
                     homfly_unreduced, sln_poly)
 
 _A = var("a")
+_A_INV = _A ** -1
+_A_FACTOR = _A - _A_INV
 _Z = var("z")
 _S = LaurentPoly.make(("t",), {(1,): 1, (-1,): -1})  # t^(1/2) - t^(-1/2)
 
@@ -129,18 +131,27 @@ def eval_az(p: LaurentPoly, a_value: int, z_image: LaurentPoly) -> RationalPair:
 
 def verify_skein_triple(site: SkeinSite, p_plus: LaurentPoly | None = None,
                         p_minus: LaurentPoly | None = None,
-                        p_zero: LaurentPoly | None = None) -> CheckResult:
-    """a*P(L+) - a^(-1)*P(L-) - z*P(L0) must vanish; all three computed fresh."""
+                        p_zero: LaurentPoly | None = None,
+                        memo: dict | None = None) -> CheckResult:
+    """a*P(L+) - a^(-1)*P(L-) - z*P(L0) must vanish.
+
+    Values not passed in come from ``homfly_unreduced`` with ``memo``, the
+    skein memo of the link under verification, so the three diagrams share
+    every subdiagram already met there.  At the crossing the recursion
+    pivots on (``first_non_descending`` of the diagram) the check only
+    restates the recursion step; at every other site it is an independent
+    check of the relation.
+    """
     d = site.diagram
     switched, smoothed = skein_resolve(site)
     if d.crossings[site.crossing_index].sign > 0:
         plus_d, minus_d = d, switched
     else:
         plus_d, minus_d = switched, d
-    pp = p_plus if p_plus is not None else homfly_unreduced(plus_d)
-    pm = p_minus if p_minus is not None else homfly_unreduced(minus_d)
-    pz = p_zero if p_zero is not None else homfly_unreduced(smoothed)
-    residual = _A * pp - _A ** -1 * pm - _Z * pz
+    pp = p_plus if p_plus is not None else homfly_unreduced(plus_d, memo=memo)
+    pm = p_minus if p_minus is not None else homfly_unreduced(minus_d, memo=memo)
+    pz = p_zero if p_zero is not None else homfly_unreduced(smoothed, memo=memo)
+    residual = _A * pp - _A_INV * pm - _Z * pz
     return _check(f"skein_site_{site.crossing_index}", residual, zero())
 
 
@@ -277,7 +288,7 @@ def verify_square(d: LinkDiagram, n: int,
         dl = delta if delta is not None else alexander(d, unreduced=p)
         route_a = eval_at_root(sln_poly(d, n, reduced=True, unreduced_homfly=p), n, 1)
         route_b = eval_at_root(dl, n, 2 * n + 2)
-        q_part = exact_div(p, _A - _A ** -1)
+        q_part = exact_div(p, _A_FACTOR)
         r = _Z * substitute(q_part, "a", Fraction(-1))
         omega = root(n, 1) - root(n, -1)
         route_c = CycloNum.from_rational(0)
@@ -294,23 +305,40 @@ def verify_square(d: LinkDiagram, n: int,
 # -- per-link driver ------------------------------------------------------------------
 
 
+def parse_n_range(text: str) -> range:
+    """``lo..hi`` (or a single ``n``) as the range lo..hi, with 1 <= lo <= hi."""
+    lo, _, hi = text.partition("..")
+    try:
+        lo_n, hi_n = int(lo), int(hi or lo)
+    except ValueError:
+        lo_n = hi_n = 0
+    if not 1 <= lo_n <= hi_n:
+        raise ValueError(f"n-range must be lo..hi with 1 <= lo <= hi, got {text!r}")
+    return range(lo_n, hi_n + 1)
+
+
 def run_link_checks(name: str, d: LinkDiagram, n_values,
                     expected: dict[str, str] | None = None,
                     skein_sites: bool = True) -> list[VerifyReport]:
     """All checks for one link: an n = 0 report carries the n-independent
-    ones, then one report per requested n."""
+    ones, then one report per requested n.
+
+    One skein memo, local to this call, serves the link's own P and every
+    skein-site check.
+    """
     from .laurent import parse_poly
 
     reports = []
     t0 = time.perf_counter()
-    p = homfly_unreduced(d)
+    memo: dict = {}
+    p = homfly_unreduced(d, memo=memo)
     dl = alexander(d, unreduced=p)
     base = VerifyReport(name, d.components, 0)
     base.checks.extend(verify_polynomial_identities(d, homfly=p, delta=dl))
     base.checks.append(verify_oracle(d, delta=dl))
     if skein_sites:
         for i in range(len(d.crossings)):
-            base.checks.append(verify_skein_triple(SkeinSite(d, i)))
+            base.checks.append(verify_skein_triple(SkeinSite(d, i), memo=memo))
     if expected:
         for key, text in sorted(expected.items()):
             actual = _expected_value(d, key, p)

@@ -169,3 +169,49 @@ def test_unknot_hfkn_pipe_subprocess():
     chi = subprocess.run([sys.executable, "-m", "rootchi", "complex", "chi", "-"],
                          input=gen.stdout, capture_output=True, text=True, check=True)
     assert chi.stdout.strip() == "0"
+
+
+def run_cli_usage_error(args, capsys):
+    """Run a command argparse must refuse; return its exit code and stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    _, err = capsys.readouterr()
+    return exc.value.code, err
+
+
+@pytest.mark.parametrize("text", ["a..3", "0..1", "3..1"])
+def test_verify_bad_n_range_is_a_usage_error(tmp_path, capsys, text):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("tref: BR[2; 1 1 1]\n")
+    code, err = run_cli_usage_error(["verify", "--corpus", str(corpus),
+                                     "--n-range", text], capsys)
+    assert code == 2
+    assert "--n-range" in err and repr(text) in err
+    assert "Traceback" not in err
+
+
+def test_poly_sln_n_zero_is_a_usage_error(capsys):
+    code, err = run_cli_usage_error(["poly", "trefoil", "--invariant", "sln",
+                                     "--n", "0"], capsys)
+    assert code == 2
+    assert "--n" in err
+
+
+@pytest.mark.parametrize("command", [["poly", "BR[2; 1 1 1]"], ["verify", "--n-range", "1..1"]])
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_crossing_bound_setting_is_a_usage_error(capsys, monkeypatch, command, value):
+    monkeypatch.setenv("ROOTCHI_MAX_CROSSINGS", value)
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert "ROOTCHI_MAX_CROSSINGS" in err and repr(value) in err
+    assert out == ""
+
+
+@pytest.mark.slow
+def test_run_verification_script_refuses_bad_n_range():
+    import pathlib
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "run_verification.py"
+    res = subprocess.run([sys.executable, str(script), "--n-range", "0..1"],
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert "n-range" in res.stderr and res.stdout == ""
