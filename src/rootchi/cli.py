@@ -83,7 +83,11 @@ def cmd_verify(args) -> int:
         try:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_verify_one, payloads))
-        except (OSError, RuntimeError):
+        except ResourceBoundError:
+            raise
+        except (OSError, RuntimeError) as e:
+            print(f"warning: --jobs {args.jobs} failed ({type(e).__name__}: {e}); "
+                  "running serially", file=sys.stderr)
             results = [_verify_one(p) for p in payloads]
     else:
         results = [_verify_one(p) for p in payloads]
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n-range", type=_n_range_arg, default="1..6",
                    help="lo..hi with 1 <= lo <= hi, e.g. 1..6")
     v.add_argument("--report", help="write the JSON report here")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_positive_int, default=1)
     v.add_argument("--approx", action="store_true",
                    help="add display-only decimal approximations to the report")
     v.set_defaults(func=cmd_verify)

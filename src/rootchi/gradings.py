@@ -66,7 +66,7 @@ def make_table(labels, half, entries) -> DimTable:
     for deg, dim in (entries.items() if isinstance(entries, dict) else entries):
         if len(deg) != len(labels):
             raise TableError("degree tuple has wrong arity")
-        if not isinstance(dim, int) or dim <= 0:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
             raise TableError(f"dimension must be a positive integer, got {dim!r}")
         key = tuple(_doubled(x) for x in deg)
         for i, d in enumerate(key):

@@ -176,6 +176,10 @@ def sln_poly(d: LinkDiagram, n: int, reduced: bool = True,
     s = substitute(s, "z", _Q_DIFF)
     if shift:
         s = exact_div(s, _q_diff_power(shift))
-    if reduced:
-        s = exact_div(s, quantum_integer(n))
-    return s
+    return sln_reduce(s, n) if reduced else s
+
+
+def sln_reduce(unreduced: LaurentPoly, n: int) -> LaurentPoly:
+    """The reduced sl(n) polynomial from the unreduced one: exact division by
+    the quantum integer [n], the unknot's unreduced value."""
+    return exact_div(unreduced, quantum_integer(n))

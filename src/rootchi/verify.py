@@ -20,7 +20,7 @@ from .laurent import (LaurentPoly, PolyError, RationalPair, exact_div, one,
                       serialize, substitute, var, zero)
 from .linkdiag import LinkDiagram, SkeinSite, skein_resolve
 from .skein import (InvariantError, alexander, homfly_middle, homfly_reduced,
-                    homfly_unreduced, sln_poly)
+                    homfly_unreduced, sln_poly, sln_reduce)
 
 _A = var("a")
 _A_INV = _A ** -1
@@ -171,15 +171,87 @@ def _parity_check(name: str, p: LaurentPoly, want_odd: bool) -> CheckResult:
                        f"{len(bad)} offending terms", "0 offending terms")
 
 
+class LinkValues:
+    """The derived invariants of one link, each computed on first use and kept.
+
+    ``run_link_checks`` hands one holder to every check of a link, so a value
+    several checks need (P, Delta, the sl(n) polynomials and their values at
+    roots of unity) is computed once per link and n.  Only identical
+    computations are shared; the two sides of one check never come from one
+    value.  A computation that raises keeps nothing, so each check that needs
+    the value meets the error again inside its own guard.  ``homfly`` and
+    ``delta`` override the computed P and Delta.
+    """
+
+    def __init__(self, d: LinkDiagram, homfly: LaurentPoly | None = None,
+                 delta: LaurentPoly | None = None, memo: dict | None = None):
+        self.d = d
+        self.memo = memo
+        self._kept: dict = {}
+        if homfly is not None:
+            self._kept["homfly"] = homfly
+        if delta is not None:
+            self._kept["delta"] = delta
+
+    def _keep(self, key, compute):
+        val = self._kept.get(key)
+        if val is None:
+            val = self._kept[key] = compute()
+        return val
+
+    def homfly(self) -> LaurentPoly:
+        """Unreduced P, through the link's skein memo."""
+        return self._keep("homfly", lambda: homfly_unreduced(self.d, memo=self.memo))
+
+    def homfly_reduced(self) -> LaurentPoly:
+        return self._keep("reduced", lambda: homfly_reduced(self.d, unreduced=self.homfly()))
+
+    def homfly_middle(self) -> LaurentPoly:
+        return self._keep("middle", lambda: homfly_middle(self.d, unreduced=self.homfly()))
+
+    def delta(self) -> LaurentPoly:
+        return self._keep("delta", lambda: alexander(self.d, unreduced=self.homfly()))
+
+    def sln(self, n: int, reduced: bool) -> LaurentPoly:
+        """One a -> q^n substitution per n gives the unreduced polynomial; the
+        reduced one divides it by [n]."""
+        if reduced:
+            return self._keep(("sln", n, True), lambda: sln_reduce(self.sln(n, False), n))
+        return self._keep(("sln", n, False), lambda: sln_poly(
+            self.d, n, reduced=False, unreduced_homfly=self.homfly()))
+
+    def sln_at_q(self, n: int, reduced: bool) -> CycloNum:
+        """The sl(n) polynomial at q = e^(pi*i/n)."""
+        return self._keep(("sln_at_q", n, reduced),
+                          lambda: eval_at_root(self.sln(n, reduced), n, 1))
+
+    def delta_at(self, n: int, k: int) -> CycloNum:
+        """Delta with t^(1/2) set to e^(pi*i*k/(2n))."""
+        return self._keep(("delta_at", n, k), lambda: eval_at_root(self.delta(), n, k))
+
+    def route_c(self) -> LaurentPoly:
+        """z * (P/(a - a^(-1))) at a = -1, a polynomial in z alone for every n."""
+        return self._keep("route_c", lambda: _Z * substitute(
+            exact_div(self.homfly(), _A_FACTOR), "a", Fraction(-1)))
+
+
 def verify_polynomial_identities(d: LinkDiagram,
                                  homfly: LaurentPoly | None = None,
-                                 delta: LaurentPoly | None = None) -> list[CheckResult]:
-    """The six evaluation identities at a = +-1 plus termwise parity."""
+                                 delta: LaurentPoly | None = None, *,
+                                 values: LinkValues | None = None) -> list[CheckResult]:
+    """The six evaluation identities at a = +-1 plus termwise parity.
+
+    Here and in the sl(n), HFK_n and square checks, ``values`` is the link's
+    shared holder; without it the check builds its own from ``homfly`` and
+    ``delta``.
+    """
+    v = values or LinkValues(d, homfly, delta)
+
     def go() -> list[CheckResult]:
-        p = homfly if homfly is not None else homfly_unreduced(d)
-        pbar = homfly_reduced(d, unreduced=p)
-        pmid = homfly_middle(d, unreduced=p)
-        dl = delta if delta is not None else alexander(d, unreduced=p)
+        p = v.homfly()
+        pbar = v.homfly_reduced()
+        pmid = v.homfly_middle()
+        dl = v.delta()
         return [
             _check("reduced_at_a1", eval_az(pbar, 1, _S), dl),
             _check("middle_at_a1", eval_az(pmid, 1, _S), RationalPair(dl, -_S)),
@@ -209,28 +281,28 @@ def verify_oracle(d: LinkDiagram, delta: LaurentPoly | None = None) -> CheckResu
     return CheckResult("alexander_oracle", status, serialize(sym.poly), serialize(dl))
 
 
+def _sl1_checks(prefix: str, v: LinkValues) -> list[CheckResult]:
+    """Both sl(1) polynomials are 1."""
+    return [_check(f"{prefix}1_reduced_is_1", v.sln(1, True), one()),
+            _check(f"{prefix}1_unreduced_is_1", v.sln(1, False), one())]
+
+
 def verify_thm_sln(d: LinkDiagram, n: int,
                    homfly: LaurentPoly | None = None,
-                   delta: LaurentPoly | None = None) -> list[CheckResult]:
+                   delta: LaurentPoly | None = None, *,
+                   values: LinkValues | None = None) -> list[CheckResult]:
     """Reduced evaluation at e^(pi*i/n) against the Alexander evaluation at
     t^(1/2) = -e^(pi*i/n); the unreduced evaluation must vanish (n >= 2)."""
+    v = values or LinkValues(d, homfly, delta)
+
     def go() -> list[CheckResult]:
-        p = homfly if homfly is not None else homfly_unreduced(d)
         if n == 1:
-            return [
-                _check("sln1_reduced_is_1",
-                       sln_poly(d, 1, reduced=True, unreduced_homfly=p), one()),
-                _check("sln1_unreduced_is_1",
-                       sln_poly(d, 1, reduced=False, unreduced_homfly=p), one()),
-            ]
-        dl = delta if delta is not None else alexander(d, unreduced=p)
-        reduced = sln_poly(d, n, reduced=True, unreduced_homfly=p)
-        unreduced = sln_poly(d, n, reduced=False, unreduced_homfly=p)
-        lhs = eval_at_root(reduced, n, 1)
-        rhs = eval_at_root(dl, n, 2 * n + 2)  # t^(1/2) -> -e^(pi*i/n)
+            return _sl1_checks("sln", v)
+        rhs = v.delta_at(n, 2 * n + 2)  # t^(1/2) -> -e^(pi*i/n)
+        lhs = v.sln_at_q(n, reduced=True)
         return [
             _check(f"sln{n}_reduced_eval", lhs, rhs),
-            _check(f"sln{n}_unreduced_vanishes", eval_at_root(unreduced, n, 1),
+            _check(f"sln{n}_unreduced_vanishes", v.sln_at_q(n, reduced=False),
                    CycloNum.from_rational(0)),
         ]
     return _guarded(f"sln{n}_checks", go)
@@ -238,7 +310,8 @@ def verify_thm_sln(d: LinkDiagram, n: int,
 
 def verify_thm_hfk(d: LinkDiagram, n: int,
                    homfly: LaurentPoly | None = None,
-                   delta: LaurentPoly | None = None) -> list[CheckResult]:
+                   delta: LaurentPoly | None = None, *,
+                   values: LinkValues | None = None) -> list[CheckResult]:
     """Euler-characteristic chain for the (1/n)Z-graded theories.
 
     chi_unprimed = e^(pi*i(1-l)/n) * Delta at t^(1/2) = -e^(-pi*i/n) and
@@ -247,21 +320,18 @@ def verify_thm_hfk(d: LinkDiagram, n: int,
     (t^(-1/2) - t^(1/2))^(l-1) * Delta, evaluated at the same point, must
     carry the Koszul factor (1 - e^(2*pi*i/n))^(l-1).
     """
+    v = values or LinkValues(d, homfly, delta)
+
     def go() -> list[CheckResult]:
-        p = homfly if homfly is not None else homfly_unreduced(d)
         if n == 1:
-            return [_check("hfk1_reduced_is_1",
-                           sln_poly(d, 1, reduced=True, unreduced_homfly=p), one()),
-                    _check("hfk1_unreduced_is_1",
-                           sln_poly(d, 1, reduced=False, unreduced_homfly=p), one())]
-        dl = delta if delta is not None else alexander(d, unreduced=p)
+            return _sl1_checks("hfk", v)
         ell = d.components
-        ev_minus = eval_at_root(dl, n, 2 * n - 2)   # t^(1/2) -> -e^(-pi*i/n)
-        ev_plus = eval_at_root(dl, n, 2 * n + 2)    # t^(1/2) -> -e^(pi*i/n)
+        ev_minus = v.delta_at(n, 2 * n - 2)   # t^(1/2) -> -e^(-pi*i/n)
+        ev_plus = v.delta_at(n, 2 * n + 2)    # t^(1/2) -> -e^(pi*i/n)
         chi_unprimed = root(n, 1 - ell) * ev_minus
         chi_primed = ev_plus
         shift_factor = root(n, (1 - ell) * (n - 1))  # e^(pi*i(1-l)(1-1/n))
-        hat_poly = (-_S) ** (ell - 1) * dl           # (t^(-1/2) - t^(1/2))^(l-1) Delta
+        hat_poly = (-_S) ** (ell - 1) * v.delta()    # (t^(-1/2) - t^(1/2))^(l-1) Delta
         hat_eval = eval_at_root(hat_poly, n, 2 * n - 2)
         koszul = (CycloNum.from_rational(1) - root(n, 2)) ** (ell - 1)
         return [
@@ -275,7 +345,8 @@ def verify_thm_hfk(d: LinkDiagram, n: int,
 
 def verify_square(d: LinkDiagram, n: int,
                   homfly: LaurentPoly | None = None,
-                  delta: LaurentPoly | None = None) -> list[CheckResult]:
+                  delta: LaurentPoly | None = None, *,
+                  values: LinkValues | None = None) -> list[CheckResult]:
     """Three routes to the same number for n >= 2.
 
     (A) the reduced specialization a -> q^n evaluated at q = e^(pi*i/n);
@@ -283,16 +354,14 @@ def verify_square(d: LinkDiagram, n: int,
     (C) direct evaluation of the reduced form at a = -1, with the division
     by a - a^(-1) done before a is pinned, at z = 2i sin(pi/n).
     """
+    v = values or LinkValues(d, homfly, delta)
+
     def go() -> list[CheckResult]:
-        p = homfly if homfly is not None else homfly_unreduced(d)
-        dl = delta if delta is not None else alexander(d, unreduced=p)
-        route_a = eval_at_root(sln_poly(d, n, reduced=True, unreduced_homfly=p), n, 1)
-        route_b = eval_at_root(dl, n, 2 * n + 2)
-        q_part = exact_div(p, _A_FACTOR)
-        r = _Z * substitute(q_part, "a", Fraction(-1))
+        route_b = v.delta_at(n, 2 * n + 2)
+        route_a = v.sln_at_q(n, reduced=True)
         omega = root(n, 1) - root(n, -1)
         route_c = CycloNum.from_rational(0)
-        for exps, coeff in r.terms:
+        for exps, coeff in v.route_c().terms:
             m = exps[0] // 2 if exps else 0
             route_c = route_c + coeff * omega ** m
         return [
@@ -323,50 +392,49 @@ def run_link_checks(name: str, d: LinkDiagram, n_values,
     """All checks for one link: an n = 0 report carries the n-independent
     ones, then one report per requested n.
 
-    One skein memo, local to this call, serves the link's own P and every
-    skein-site check.
+    One skein memo and one ``LinkValues``, both local to this call, serve
+    every check: P, Delta and each n's sl(n) values and Alexander
+    evaluations are computed once for the link.  Each check computes what it
+    needs inside its own guard, so an error there is a failing check.
     """
     from .laurent import parse_poly
 
     reports = []
     t0 = time.perf_counter()
     memo: dict = {}
-    p = homfly_unreduced(d, memo=memo)
-    dl = alexander(d, unreduced=p)
+    values = LinkValues(d, memo=memo)
     base = VerifyReport(name, d.components, 0)
-    base.checks.extend(verify_polynomial_identities(d, homfly=p, delta=dl))
-    base.checks.append(verify_oracle(d, delta=dl))
+    base.checks.extend(verify_polynomial_identities(d, values=values))
+    base.checks.extend(_guarded("alexander_oracle",
+                                lambda: [verify_oracle(d, delta=values.delta())]))
     if skein_sites:
         for i in range(len(d.crossings)):
             base.checks.append(verify_skein_triple(SkeinSite(d, i), memo=memo))
-    if expected:
-        for key, text in sorted(expected.items()):
-            actual = _expected_value(d, key, p)
-            base.checks.append(_check(f"expected_{key}", actual, parse_poly(text)))
+    for key, text in sorted((expected or {}).items()):
+        want = parse_poly(text)
+        base.checks.extend(_guarded(f"expected_{key}", lambda: [
+            _check(f"expected_{key}", _expected_value(values, key), want)]))
     base.ms = (time.perf_counter() - t0) * 1000
     reports.append(base)
     for n in n_values:
         t0 = time.perf_counter()
         rep = VerifyReport(name, d.components, n)
-        rep.checks.extend(verify_thm_sln(d, n, homfly=p, delta=dl))
-        rep.checks.extend(verify_thm_hfk(d, n, homfly=p, delta=dl))
+        rep.checks.extend(verify_thm_sln(d, n, values=values))
+        rep.checks.extend(verify_thm_hfk(d, n, values=values))
         if n >= 2:
-            rep.checks.extend(verify_square(d, n, homfly=p, delta=dl))
+            rep.checks.extend(verify_square(d, n, values=values))
         rep.ms = (time.perf_counter() - t0) * 1000
         reports.append(rep)
     return reports
 
 
-def _expected_value(d: LinkDiagram, key: str, p: LaurentPoly) -> LaurentPoly:
-    if key == "alexander":
-        return alexander(d, unreduced=p)
-    if key == "homfly_unreduced":
-        return p
-    if key == "homfly_reduced":
-        return homfly_reduced(d, unreduced=p)
-    if key == "homfly_middle":
-        return homfly_middle(d, unreduced=p)
+def _expected_value(values: LinkValues, key: str) -> LaurentPoly:
+    getters = {"alexander": values.delta, "homfly_unreduced": values.homfly,
+               "homfly_reduced": values.homfly_reduced,
+               "homfly_middle": values.homfly_middle}
+    if key in getters:
+        return getters[key]()
     if key.startswith("sln_"):
         _, num, variant = key.split("_")
-        return sln_poly(d, int(num), reduced=(variant == "reduced"), unreduced_homfly=p)
+        return values.sln(int(num), reduced=(variant == "reduced"))
     raise ValueError(f"unknown expected-value key {key!r}")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -97,6 +98,55 @@ def test_verify_jobs_output_matches_serial(tmp_path, capsys):
     assert strip(d1) == strip(d2)
 
 
+def _failing_pool(error):
+    """A stand-in for ProcessPoolExecutor whose map raises ``error``."""
+    class FailingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise error
+
+    return FailingPool
+
+
+def test_verify_jobs_broken_pool_warns_and_runs_serially(tmp_path, capsys, monkeypatch):
+    import rootchi.cli as cli_mod
+
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a: BR[2; 1 1]\nb: BR[2; -1 -1 -1]\n")
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    args = ["verify", "--corpus", str(corpus), "--n-range", "1..2", "--report"]
+    code1, out1, err1 = run_cli(args + [str(r1)], capsys)
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor",
+                        _failing_pool(BrokenProcessPool("a worker died")))
+    code2, out2, err2 = run_cli(args + [str(r2), "--jobs", "2"], capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2 and err1 == ""
+    assert "warning" in err2 and "BrokenProcessPool" in err2
+    strip = lambda rs: [{k: v for k, v in r.items() if k != "ms"} for r in rs]
+    assert strip(json.loads(r1.read_text())) == strip(json.loads(r2.read_text()))
+
+
+def test_verify_jobs_resource_bound_is_not_a_pool_failure(tmp_path, capsys, monkeypatch):
+    import rootchi.cli as cli_mod
+    from rootchi.skein import ResourceBoundError
+
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a: BR[2; 1 1]\nb: BR[2; -1 -1 -1]\n")
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor",
+                        _failing_pool(ResourceBoundError("20 crossings exceeds the bound 14")))
+    code, _, err = run_cli(["verify", "--corpus", str(corpus), "--jobs", "2"], capsys)
+    assert code == 3
+    assert "resource bound" in err and "warning" not in err
+
+
 def test_complex_chi_single_generator(tmp_path, capsys):
     f = tmp_path / "c.json"
     f.write_text(json.dumps({"n": 1, "generators": [{"name": "x", "deg_times_n": 0}],
@@ -188,6 +238,14 @@ def test_verify_bad_n_range_is_a_usage_error(tmp_path, capsys, text):
     assert code == 2
     assert "--n-range" in err and repr(text) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_bad_jobs_is_a_usage_error(capsys, jobs):
+    code, err = run_cli_usage_error(["verify", "--n-range", "1..1", "--jobs", jobs],
+                                    capsys)
+    assert code == 2
+    assert "--jobs" in err and repr(jobs) in err
 
 
 def test_poly_sln_n_zero_is_a_usage_error(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -145,6 +146,18 @@ def test_table_validation():
         make_table(("a", "b"), (True, False), {(0, 0): 0})
     with pytest.raises(TableError):
         make_table(("a",), (True,), {(0,): 1})
+
+
+def test_bool_dimension_is_refused():
+    with pytest.raises(TableError):
+        make_table(("a", "b"), (False, False), {(0, 0): True})
+
+
+def test_bool_dimension_in_json_is_refused():
+    text = json.dumps({"labels": ["a", "b"], "half": [False, False],
+                       "entries": [{"deg": [0, 0], "dim": True}]})
+    with pytest.raises(TableError):
+        table_from_json(text)
 
 
 def test_table_json_round_trip():

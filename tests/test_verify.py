@@ -1,12 +1,18 @@
 import json
 import random
 
+import pytest
+
+import rootchi.skein as skein_mod
+import rootchi.verify as verify_mod
 from rootchi.corpus import CorpusEntry, bundled_corpus, parse_corpus
-from rootchi.laurent import one, var
+from rootchi.laurent import LaurentPoly, PolyError, one, serialize, var
 from rootchi.linkdiag import SkeinSite, parse_link
-from rootchi.verify import (reports_to_json, run_link_checks, verify_oracle,
-                            verify_polynomial_identities, verify_skein_triple,
-                            verify_square, verify_thm_hfk, verify_thm_sln)
+from rootchi.skein import alexander, homfly_unreduced
+from rootchi.verify import (CheckResult, reports_to_json, run_link_checks,
+                            verify_oracle, verify_polynomial_identities,
+                            verify_skein_triple, verify_square, verify_thm_hfk,
+                            verify_thm_sln)
 
 a = var("a")
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -91,6 +97,12 @@ def test_oracle_check():
     assert not verify_oracle(parse_link(TREFOIL_PD), delta=one() + one()).ok
 
 
+def _corrupt(p, rng):
+    """P plus one of its own monomials: the corruption of the mutation controls."""
+    exps, _ = p.terms[rng.randrange(len(p.terms))]
+    return p + type(p).make(p.vars, {exps: 1})
+
+
 def test_mutation_negative_controls():
     rng = random.Random(42)
     entries = [e for e in bundled_corpus() if e.diagram().crossings]
@@ -98,9 +110,7 @@ def test_mutation_negative_controls():
     for entry in picks:
         d = entry.diagram()
         from rootchi.skein import homfly_unreduced
-        p = homfly_unreduced(d)
-        exps, c = p.terms[rng.randrange(len(p.terms))]
-        corrupted = p + type(p).make(p.vars, {exps: 1})
+        corrupted = _corrupt(homfly_unreduced(d), rng)
         checks = verify_polynomial_identities(d, homfly=corrupted)
         checks += verify_thm_sln(d, 2, homfly=corrupted)
         assert any(not ch.ok for ch in checks), entry.name
@@ -117,6 +127,67 @@ def test_run_link_checks_report_shape():
     assert "expected_alexander" in names
     assert {"name", "status", "lhs", "rhs"} <= set(data[0]["checks"][0])
     assert "ms" in data[0]
+
+
+def test_run_link_checks_computes_each_sln_value_and_evaluation_once(monkeypatch):
+    substituted = []
+    real_substitute = skein_mod.substitute
+
+    def counting_substitute(p, name, image):
+        if name == "a" and isinstance(image, LaurentPoly) and image.vars == ("q",):
+            substituted.append(serialize(image))
+        return real_substitute(p, name, image)
+
+    evaluations = []
+    real_eval = verify_mod.eval_at_root
+
+    def counting_eval(p, n, k):
+        evaluations.append((n, k))
+        return real_eval(p, n, k)
+
+    monkeypatch.setattr(skein_mod, "substitute", counting_substitute)
+    monkeypatch.setattr(verify_mod, "eval_at_root", counting_eval)
+    total = 0
+    for entry in bundled_corpus():
+        substituted.clear()
+        reports = run_link_checks(entry.name, entry.diagram(), range(1, 7),
+                                  expected=entry.expected)
+        assert all(r.ok for r in reports), entry.name
+        # a -> q^n exactly once for each n
+        assert sorted(substituted) == sorted(serialize(var("q") ** n)
+                                             for n in range(1, 7)), entry.name
+        total += len(substituted)
+    assert total == 180
+    assert len(evaluations) == 750
+
+
+def test_shared_values_neither_hide_nor_merge_failures(monkeypatch):
+    rng = random.Random(42)
+    entries = [e for e in bundled_corpus() if e.diagram().crossings]
+    for entry in [entries[rng.randrange(len(entries))] for _ in range(6)]:
+        d = entry.diagram()
+        corrupted = _corrupt(homfly_unreduced(d), rng)
+        # each pick breaks the division by a - a^-1 that Delta starts with
+        with pytest.raises(PolyError) as division:
+            alexander(d, unreduced=corrupted)
+        error = f"error: {division.value}"
+        monkeypatch.setattr(verify_mod, "homfly_unreduced",
+                            lambda *args, **kwargs: corrupted)
+        reports = run_link_checks(entry.name, d, range(1, 7), skein_sites=False)
+        monkeypatch.undo()
+        alone = verify_polynomial_identities(d, homfly=corrupted)
+        assert reports[0].checks[:len(alone)] == alone, entry.name
+        assert reports[0].checks[len(alone)] == CheckResult(
+            "alexander_oracle", "fail", error, "")
+        for rep in reports[1:]:
+            n = rep.n
+            alone = (verify_thm_sln(d, n, homfly=corrupted)
+                     + verify_thm_hfk(d, n, homfly=corrupted)
+                     + (verify_square(d, n, homfly=corrupted) if n >= 2 else []))
+            assert rep.checks == alone, (entry.name, n)
+            if n >= 2:  # every group that needs Delta reports the error itself
+                assert rep.checks == [CheckResult(f"{group}{n}_checks", "fail", error, "")
+                                      for group in ("sln", "hfk", "square")]
 
 
 def test_corpus_parsing_and_expectations():
