@@ -27,6 +27,8 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error(f"--trials must be an integer >= 1, got {args.trials}")
     rng = random.Random(args.seed)
     bad = 0
 

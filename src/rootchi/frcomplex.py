@@ -6,6 +6,9 @@ by exactly one, i.e. by n stored units, and squares to zero; an optional
 integer filtration level per generator must never decrease along the
 differential.
 
+A differential is held once, as integer columns over one positive denominator;
+checks and elimination run on those integers (scaling keeps kernels and ranks).
+
 The Euler characteristic of such a complex lives in the ring of integers of
 the cyclotomic field generated by e^(pi*i/n): a generator of degree alpha
 contributes e^(pi*i*alpha).  It is invariant under homology, degree-zero
@@ -17,14 +20,16 @@ from __future__ import annotations
 
 import json
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import CycloNum, root_sum
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Columns = tuple[dict[int, int], ...]   # cols[j][i]: nonzero integer entry (i, j)
 _ZERO = Fraction(0)
+_EXACT = (int, Fraction)
 
 
 class ComplexError(ValueError):
@@ -35,16 +40,29 @@ class ComplexError(ValueError):
         self.kind = kind
 
 
-def _freeze_matrix(rows, nrows: int, ncols: int) -> Matrix:
-    out = []
+def _columns(rows, nrows: int, ncols: int) -> tuple[Columns, int]:
+    """Read a dense matrix once, row by row: its nonzero entries as integer
+    columns over one positive denominator, the lcm of their denominators."""
     if len(rows) != nrows:
         raise ComplexError("shape", f"expected {nrows} rows, got {len(rows)}")
-    for row in rows:
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ComplexError("shape", f"expected {ncols} columns, got {len(row)}")
-        out.append(tuple(x if type(x) is Fraction else
-                         _ZERO if type(x) is int and not x else Fraction(x) for x in row))
-    return tuple(out)
+        for j, x in enumerate(row):
+            if type(x) not in _EXACT:
+                x = Fraction(x)
+            if x:
+                cols[j][i] = x
+    den = lcm(*(x.denominator for col in cols for x in col.values()))
+    return tuple({i: x.numerator * (den // x.denominator) for i, x in col.items()}
+                 for col in cols), den
+
+
+def _dense(cols: Columns, den: int) -> Matrix:
+    """The square Fraction matrix cols / den, by rows."""
+    return tuple(tuple(Fraction(col[i], den) if i in col else _ZERO for col in cols)
+                 for i in range(len(cols)))
 
 
 def _check_n(n) -> None:
@@ -61,17 +79,7 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return values
 
 
-def _nonzero_columns(mat, ncols: int) -> list[dict[int, Fraction]]:
-    """For each column, its nonzero entries by row, in one pass over the rows."""
-    out: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x:
-                out[j][i] = x
-    return out
-
-
-def _apply(cols: list[dict], vec: dict) -> dict:
+def _apply(cols: Columns, vec: dict) -> dict:
     """A matrix, given by its nonzero columns, times a sparse vector."""
     out: dict = {}
     for k, x in vec.items():
@@ -80,13 +88,31 @@ def _apply(cols: list[dict], vec: dict) -> dict:
     return {i: v for i, v in out.items() if v}
 
 
-@dataclass(frozen=True)
+def _moved(col: dict, scale: int, offset: int = 0) -> dict:
+    return {i + offset: v * scale for i, v in col.items()}
+
+
+@dataclass(frozen=True, init=False)
 class FracComplex:
+    """d = ``cols`` / ``den``, read from the dense ``diff`` given (unchecked:
+    ``build`` checks); ``diff`` is a view built when first read."""
+
     n: int
     degrees: tuple[int, ...]          # degree*n per generator
     diff: Matrix                      # diff[i][j]: coefficient of gen i in d(gen j)
     names: tuple[str, ...]
     filtration: tuple[int, ...] | None = None
+
+    def __init__(self, n, degrees, diff, names, filtration=None):
+        cols, den = _columns(diff, len(degrees), len(degrees))
+        vars(self).update(n=n, degrees=degrees, names=names, filtration=filtration,
+                          cols=cols, den=den)
+
+    def __getattr__(self, name):
+        if name != "diff":
+            raise AttributeError(name)
+        diff = vars(self)["diff"] = _dense(self.cols, self.den)
+        return diff
 
     @property
     def dim(self) -> int:
@@ -99,46 +125,57 @@ class FracComplex:
         return dict(sorted(out.items()))
 
 
+def _complex(n, degrees, names, filtration, cols: Columns, den: int) -> FracComplex:
+    """A FracComplex holding d = cols / den as given, unchecked."""
+    c = object.__new__(FracComplex)
+    vars(c).update(n=n, degrees=degrees, names=names, filtration=filtration,
+                   cols=cols, den=den)
+    return c
+
+
 def build(n: int, degrees, diff, filtration=None, names=None) -> FracComplex:
     """Validate and build; raises ComplexError with the failing invariant."""
     _check_n(n)
     degrees = _integers(degrees, "degree")
     m = len(degrees)
-    diff = _freeze_matrix(diff, m, m)
+    cols, den = _columns(diff, m, m)
+    return _from_columns(n, degrees, cols, den, filtration, names)
+
+
+def _from_columns(n: int, degrees: tuple[int, ...], cols: Columns, den: int,
+                  filtration=None, names=None) -> FracComplex:
+    """``build`` for d = cols / den, one column per degree and den >= 1."""
+    m = len(degrees)
     if names is None:
         names = tuple(f"x{i}" for i in range(m))
     else:
         names = tuple(names)
         if len(names) != m:
             raise ComplexError("shape", "name count does not match generators")
-    support = _nonzero_columns(diff, m)
     for j in range(m):
-        for i in support[j]:
+        for i in cols[j]:
             if degrees[i] != degrees[j] + n:
                 raise ComplexError(
                     "degree",
                     f"d({names[j]}) hits {names[i]}: degree step "
                     f"{Fraction(degrees[i] - degrees[j], n)} instead of 1")
-    # d^2 = 0, walking only the nonzero entries, in integers: d scaled by the
-    # lcm of its denominators squares to d^2 scaled by that lcm squared
-    scale = lcm(*(x.denominator for col in support for x in col.values()))
-    scaled = [{i: x.numerator * (scale // x.denominator) for i, x in col.items()}
-              for col in support]
+    # d^2 = 0, walking only the nonzero entries, in integers: cols squares to
+    # d^2 scaled by den squared
     for j in range(m):
-        for i, s in _apply(scaled, scaled[j]).items():
+        for i, s in _apply(cols, cols[j]).items():
             raise ComplexError("d2", f"d^2({names[j]}) has {names[i]}-coefficient "
-                                     f"{Fraction(s, scale * scale)}")
+                                     f"{Fraction(s, den * den)}")
     if filtration is not None:
         filtration = _integers(filtration, "filtration level")
         if len(filtration) != m:
             raise ComplexError("shape", "filtration length does not match generators")
         for j in range(m):
-            for i in support[j]:
+            for i in cols[j]:
                 if filtration[i] < filtration[j]:
                     raise ComplexError(
                         "filtration",
                         f"d({names[j]}) drops filtration {filtration[j]} -> {filtration[i]}")
-    return FracComplex(n, degrees, diff, names, filtration)
+    return _complex(n, degrees, names, filtration, cols, den)
 
 
 # -- exact elimination ------------------------------------------------------------
@@ -201,6 +238,21 @@ class Echelon:
         return [[Fraction(x, r[pc]) for x in r] for r, pc in zip(self.reduced(), self.pivots)]
 
 
+def _null_space(ech: Echelon, ncols: int) -> list[tuple[int, list[int]]]:
+    """Per free column c, the integer kernel vector w with w[c] > 0 and zeros
+    at the other free columns; w / w[c] is the kernel vector with 1 at c."""
+    reduced, pivots = ech.reduced(), ech.pivots
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        hits = [(row[fc], row[pc], pc) for row, pc in zip(reduced, pivots) if row[fc]]
+        w = [0] * ncols
+        w[fc] = scale = lcm(*(p for _, p, _ in hits))
+        for a, p, pc in hits:
+            w[pc] = -a * (scale // p)
+        basis.append((fc, w))
+    return basis
+
+
 def rank(rows) -> int:
     return len(Echelon(rows).pivots)
 
@@ -208,17 +260,8 @@ def rank(rows) -> int:
 def kernel(matrix, ncols: int) -> list[list[Fraction]]:
     """Basis of the null space of the matrix (rows = constraints), one vector
     per free column, read off the unique reduced row echelon form."""
-    ech = Echelon(matrix)
-    reduced, pivots = ech.reduced(), ech.pivots
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [_ZERO] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+    return [[Fraction(x, w[fc]) if x else _ZERO for x in w]
+            for fc, w in _null_space(Echelon(matrix), ncols)]
 
 
 def _by_degree(c: FracComplex) -> dict[int, list[int]]:
@@ -228,12 +271,14 @@ def _by_degree(c: FracComplex) -> dict[int, list[int]]:
     return out
 
 
-def _block(c: FracComplex, rows: list[int], cols: list[int]) -> list[list[Fraction]]:
-    return [[c.diff[i][j] for j in cols] for i in rows]
+def _cycles(c: FracComplex, rows: list[int], cols: list[int]) -> list[tuple[int, list[int]]]:
+    """Integer kernel of the block of d from gens ``cols`` to gens ``rows``."""
+    picked = [c.cols[j] for j in cols]
+    return _null_space(Echelon([col.get(i, 0) for col in picked] for i in rows), len(cols))
 
 
-def _scatter(v, positions: list[int], size: int) -> list[Fraction]:
-    out = [_ZERO] * size
+def _scatter(v, positions: list[int], size: int) -> list[int]:
+    out = [0] * size
     for x, k in zip(v, positions):
         out[k] = x
     return out
@@ -244,7 +289,8 @@ def _scatter(v, positions: list[int], size: int) -> list[Fraction]:
 
 def shift(c: FracComplex, units: int) -> FracComplex:
     """Shift degrees downward by units/n (the translation functor is units = n)."""
-    return replace(c, degrees=tuple(u - units for u in c.degrees))
+    return _complex(c.n, tuple(u - units for u in c.degrees), c.names, c.filtration,
+                    c.cols, c.den)
 
 
 def euler_char(c: FracComplex) -> CycloNum:
@@ -273,12 +319,13 @@ def homology(c: FracComplex) -> HomologyResult:
     dims: dict[int, int] = {}
     reps: dict[int, list[tuple[Fraction, ...]]] = {}
     for u, cols in sorted(by_degree.items()):
-        kern = kernel(_block(c, by_degree.get(u + c.n, []), cols), len(cols))
-        image = Echelon([c.diff[i][j] for i in cols] for j in by_degree.get(u - c.n, []))
-        quotient_basis = [v for v in kern if image.add(v)]
+        kern = _cycles(c, by_degree.get(u + c.n, []), cols)
+        image = Echelon([c.cols[j].get(i, 0) for i in cols] for j in by_degree.get(u - c.n, []))
+        quotient_basis = [(fc, w) for fc, w in kern if image.add(w)]
         if quotient_basis:
             dims[u] = len(quotient_basis)
-            reps[u] = [tuple(_scatter(v, cols, c.dim)) for v in quotient_basis]
+            reps[u] = [tuple(Fraction(x, w[fc]) if x else _ZERO
+                             for x in _scatter(w, cols, c.dim)) for fc, w in quotient_basis]
     return HomologyResult(dims, reps)
 
 
@@ -288,9 +335,7 @@ def homology_complex(c: FracComplex) -> FracComplex:
     degs = []
     for u, k in sorted(h.dims.items()):
         degs.extend([u] * k)
-    m = len(degs)
-    zero_rows = [[Fraction(0)] * m for _ in range(m)]
-    return build(c.n, degs, zero_rows)
+    return _from_columns(c.n, tuple(degs), tuple({} for _ in degs), 1)
 
 
 def cone(f_matrix, x: FracComplex, y: FracComplex) -> FracComplex:
@@ -301,44 +346,53 @@ def cone(f_matrix, x: FracComplex, y: FracComplex) -> FracComplex:
     """
     if x.n != y.n:
         raise ComplexError("shape", "root orders differ")
-    f = _freeze_matrix(f_matrix, y.dim, x.dim)
-    f_support = _nonzero_columns(f, x.dim)
+    f, f_den = _columns(f_matrix, y.dim, x.dim)
     for j in range(x.dim):
-        for i in f_support[j]:
+        for i in f[j]:
             if y.degrees[i] != x.degrees[j]:
                 raise ComplexError("degree", "chain map is not degree preserving")
-    # f d_X = d_Y f, walking nonzero entries only
-    dx_support = _nonzero_columns(x.diff, x.dim)
-    dy_support = _nonzero_columns(y.diff, y.dim)
+    # f d_X = d_Y f, walking nonzero entries only; with f = F/f_den and
+    # d = D/den, in integers: y.den * (F D_X) = x.den * (D_Y F)
     for j in range(x.dim):
-        if _apply(f_support, dx_support[j]) != _apply(dy_support, f_support[j]):
+        if _moved(_apply(f, x.cols[j]), y.den) != _moved(_apply(y.cols, f[j]), x.den):
             raise ComplexError("d2", "not a chain map")
+    den = lcm(x.den, y.den, f_den)
+    cols = tuple({**_moved(dx, -(den // x.den)), **_moved(fx, den // f_den, x.dim)}
+                 for dx, fx in zip(x.cols, f))
+    cols += tuple(_moved(dy, den // y.den, x.dim) for dy in y.cols)
     degrees = tuple(u - x.n for u in x.degrees) + y.degrees
-    rows = [[-v if v else v for v in row] + [_ZERO] * y.dim for row in x.diff]
-    rows += [f_row + dy_row for f_row, dy_row in zip(f, y.diff)]
     names = tuple(f"x:{s}" for s in x.names) + tuple(f"y:{s}" for s in y.names)
-    return build(x.n, degrees, rows, names=names)
+    return _from_columns(x.n, degrees, cols, den, names=names)
 
 
 def unknot_hfkn(n: int) -> FracComplex:
     """n generators in degrees (1-n)/n, (3-n)/n, ..., (n-1)/n, zero differential."""
     _check_n(n)
     degs = [(1 - n) + 2 * k for k in range(n)]
-    zero_rows = [[Fraction(0)] * n for _ in range(n)]
     names = [f"U^{k}" for k in range(n)]
-    return build(n, degs, zero_rows, names=names)
+    return _from_columns(n, tuple(degs), tuple({} for _ in degs), 1, names=names)
 
 
 # -- graded modules and the Koszul cube ------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedModule:
     """Finite-dimensional graded module with commuting degree-(2/n) maps."""
 
     n: int
     degrees: tuple[int, ...]
-    endos: tuple[Matrix, ...]
+    endos: tuple[Matrix, ...]         # view of ``maps`` (cols, den), built when first read
+
+    def __init__(self, n, degrees, endos):
+        m = len(degrees)
+        vars(self).update(n=n, degrees=degrees, maps=tuple(_columns(e, m, m) for e in endos))
+
+    def __getattr__(self, name):
+        if name != "endos":
+            raise AttributeError(name)
+        endos = vars(self)["endos"] = tuple(_dense(c, d) for c, d in self.maps)
+        return endos
 
     @property
     def dim(self) -> int:
@@ -347,20 +401,20 @@ class GradedModule:
 
 def build_module(n: int, degrees, endos) -> GradedModule:
     _check_n(n)
-    degrees = _integers(degrees, "degree")
-    m = len(degrees)
-    mats = tuple(_freeze_matrix(e, m, m) for e in endos)
-    cols = [_nonzero_columns(mat, m) for mat in mats]
+    mod = GradedModule(n, _integers(degrees, "degree"), endos)
+    degrees, m = mod.degrees, mod.dim
+    cols = [col for col, _ in mod.maps]
     for t, col in enumerate(cols):
         for j in range(m):
             if any(degrees[i] != degrees[j] + 2 for i in col[j]):
                 raise ComplexError("degree", f"U_{t} does not raise degree by 2/n")
-    for s in range(len(mats)):
-        for t in range(s + 1, len(mats)):
+    # U_s U_t and U_t U_s carry the same scale, the product of the two denominators
+    for s in range(len(cols)):
+        for t in range(s + 1, len(cols)):
             for j in range(m):
                 if _apply(cols[s], cols[t][j]) != _apply(cols[t], cols[s][j]):
                     raise ComplexError("d2", f"U_{s} and U_{t} do not commute")
-    return GradedModule(n, degrees, mats)
+    return mod
 
 
 def koszul_tensor(mod: GradedModule) -> FracComplex:
@@ -371,7 +425,7 @@ def koszul_tensor(mod: GradedModule) -> FracComplex:
     applies U_i with the usual alternating sign.  The subset size is the
     filtration level, which the differential raises by one.
     """
-    k = len(mod.endos)
+    k = len(mod.maps)
     n, m = mod.n, mod.dim
     subsets = sorted(range(1 << k), key=lambda s: (bin(s).count("1"), s))
     index = {}
@@ -385,21 +439,21 @@ def koszul_tensor(mod: GradedModule) -> FracComplex:
             degrees.append(mod.degrees[g] - (k - size) * (n - 2))
             filt.append(size)
             names.append(f"g{g}@{s:0{max(k, 1)}b}")
-    total = len(degrees)
-    rows = [[Fraction(0)] * total for _ in range(total)]
+    # each entry of d comes from one edge, so d's denominator is that of all maps
+    den = lcm(*(d for _, d in mod.maps))
+    cols: list[dict[int, int]] = [{} for _ in degrees]
     for s in subsets:
         for i in range(k):
             if s & (1 << i):
                 continue
             target = s | (1 << i)
             sign = (-1) ** bin(s & ((1 << i) - 1)).count("1")
-            u = mod.endos[i]
+            u, u_den = mod.maps[i]
             for g in range(m):
-                col = index[(s, g)]
-                for h in range(m):
-                    if u[h][g] != 0:
-                        rows[index[(target, h)]][col] += sign * u[h][g]
-    return build(n, degrees, rows, filtration=filt, names=names)
+                col = cols[index[(s, g)]]
+                for h, v in u[g].items():
+                    col[index[(target, h)]] = sign * v * (den // u_den)
+    return _from_columns(n, tuple(degrees), tuple(cols), den, filt, names)
 
 
 # -- spectral sequence of a filtered complex --------------------------------------
@@ -431,14 +485,14 @@ def spectral_sequence(c: FracComplex) -> SpectralSequence:
     degree by degree.  Finite filtrations stabilize after their width.
     """
     if c.filtration is None:
-        c = replace(c, filtration=tuple(0 for _ in range(c.dim)))
+        c = _complex(c.n, c.degrees, c.names, (0,) * c.dim, c.cols, c.den)
     levels = sorted(set(c.filtration)) or [0]
     pmin, pmax = levels[0], levels[-1]
     width = pmax - pmin
     by_degree = _by_degree(c)
-    z_memo: dict[tuple[int, int, int], list[list[Fraction]]] = {}
+    z_memo: dict[tuple[int, int, int], list[list[int]]] = {}
 
-    def z_space(r: int, p: int, u: int) -> list[list[Fraction]]:
+    def z_space(r: int, p: int, u: int) -> list[list[int]]:
         """Basis of Z_r^p in degree u, as vectors over the gens at degree u."""
         key = (r, p, u)
         if key not in z_memo:
@@ -446,14 +500,15 @@ def spectral_sequence(c: FracComplex) -> SpectralSequence:
             pos = [k for k, j in enumerate(allcols) if c.filtration[j] >= p]
             # constraint: d x must vanish on targets with filtration < p + r
             targets = [i for i in by_degree.get(u + c.n, []) if c.filtration[i] < p + r]
-            kern = kernel(_block(c, targets, [allcols[k] for k in pos]), len(pos))
-            z_memo[key] = [_scatter(v, pos, len(allcols)) for v in kern]
+            kern = _cycles(c, targets, [allcols[k] for k in pos])
+            z_memo[key] = [_scatter(w, pos, len(allcols)) for _, w in kern]
         return z_memo[key]
 
-    def d_image(space: list[list[Fraction]], u_src: int, u_dst: int) -> list[list[Fraction]]:
+    def d_image(space: list[list[int]], u_src: int, u_dst: int) -> list[list[int]]:
         """Push vectors at degree u_src through d, landing at degree u_dst."""
-        block = _block(c, by_degree.get(u_dst, []), by_degree.get(u_src, []))
-        return [[sum(a * x for a, x in zip(row, v) if x) for row in block] for v in space]
+        src, dst = by_degree.get(u_src, []), by_degree.get(u_dst, [])
+        images = (_apply(c.cols, {src[k]: x for k, x in enumerate(v) if x}) for v in space)
+        return [[img.get(i, 0) for i in dst] for img in images]
 
     degrees = sorted(by_degree)
     pages: list[dict[tuple[int, int], int]] = []
@@ -486,19 +541,19 @@ def spectral_sequence(c: FracComplex) -> SpectralSequence:
 def graded_homology_dims(c: FracComplex) -> dict[tuple[int, int], int]:
     """Dimensions of the filtration's associated graded on homology."""
     if c.filtration is None:
-        c = replace(c, filtration=tuple(0 for _ in range(c.dim)))
+        c = _complex(c.n, c.degrees, c.names, (0,) * c.dim, c.cols, c.den)
     by_degree = _by_degree(c)
     levels = sorted(set(c.filtration))
     out: dict[tuple[int, int], int] = {}
     for u, cols in by_degree.items():
         rows_out = by_degree.get(u + c.n, [])
-        image = [[c.diff[i][j] for i in cols] for j in by_degree.get(u - c.n, [])]
+        image = [[c.cols[j].get(i, 0) for i in cols] for j in by_degree.get(u - c.n, [])]
         image_rank = rank(image)
 
         def filtered_part(p: int) -> int:
             pos = [k for k, j in enumerate(cols) if c.filtration[j] >= p]
-            kern = kernel(_block(c, rows_out, [cols[k] for k in pos]), len(pos))
-            return rank([_scatter(v, pos, len(cols)) for v in kern] + image) - image_rank
+            kern = _cycles(c, rows_out, [cols[k] for k in pos])
+            return rank([_scatter(w, pos, len(cols)) for _, w in kern] + image) - image_rank
 
         parts = [filtered_part(p) for p in levels] + [0]
         for k, p in enumerate(levels):

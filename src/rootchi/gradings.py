@@ -25,6 +25,8 @@ class TableError(ValueError):
 
 
 def _doubled(x: Rat) -> int:
+    if isinstance(x, bool):
+        raise TableError(f"degree must be a number, got {x!r}")
     d = Fraction(x) * 2
     if d.denominator != 1:
         raise TableError(f"degree {x} is not a half-integer")
@@ -232,9 +234,7 @@ def _deg_to_json(d: int):
 
 
 def _deg_from_json(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, str) or isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TableError(f"bad degree value {x!r}")
 

@@ -84,18 +84,22 @@ def random_chain_map(rng: random.Random, x: FracComplex, y: FracComplex):
     if not unknowns:
         return [[Fraction(0)] * nx for _ in range(ny)]
     pos = {u: k for k, u in enumerate(unknowns)}
+    y_rows: list[dict[int, int]] = [{} for _ in range(ny)]   # y_rows[i][k] = y.cols[k][i]
+    for k, col in enumerate(y.cols):
+        for i, v in col.items():
+            y_rows[i][k] = v
     constraints = []
     for i in range(ny):
         for j in range(nx):
             if y.degrees[i] != x.degrees[j] + x.n:
                 continue
             row = [Fraction(0)] * len(unknowns)
-            for k in range(nx):
+            for k, v in x.cols[j].items():
                 if (i, k) in pos:
-                    row[pos[(i, k)]] += x.diff[k][j]
-            for k in range(ny):
+                    row[pos[(i, k)]] += Fraction(v, x.den)
+            for k, v in y_rows[i].items():
                 if (k, j) in pos:
-                    row[pos[(k, j)]] -= y.diff[i][k]
+                    row[pos[(k, j)]] -= Fraction(v, y.den)
             constraints.append(row)
     basis = kernel(constraints, len(unknowns))
     f = [[Fraction(0)] * nx for _ in range(ny)]

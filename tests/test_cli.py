@@ -273,3 +273,13 @@ def test_run_verification_script_refuses_bad_n_range():
                          capture_output=True, text=True)
     assert res.returncode == 2
     assert "n-range" in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "x"])
+def test_random_complex_experiments_refuses_bad_trials(trials):
+    import pathlib
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "random_complex_experiments.py"
+    res = subprocess.run([sys.executable, str(script), "--trials", trials],
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert "--trials" in res.stderr and res.stdout == ""

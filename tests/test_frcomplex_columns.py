@@ -1,0 +1,166 @@
+"""The integer-column form of a differential: never stale, always canonical,
+and validated exactly as the dense matrix it stands for."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from rootchi.frcomplex import (ComplexError, FracComplex, build, build_module,
+                               complex_from_json, complex_to_json, cone,
+                               homology, homology_complex, koszul_tensor, shift,
+                               spectral_sequence, unknot_hfkn)
+from rootchi.synth import random_chain_map, random_complex
+
+F = Fraction
+
+
+def assert_columns(c, dense):
+    """c holds d = dense as columns scaled by the lcm of dense's denominators."""
+    dense = [[F(x) for x in row] for row in dense]
+    s = lcm(*(x.denominator for row in dense for x in row))
+    assert c.den == s
+    assert all(type(v) is int and v for col in c.cols for v in col.values())
+    assert all(c.cols[j].get(i, 0) == s * dense[i][j]
+               for i in range(c.dim) for j in range(c.dim))
+    assert c.diff == tuple(map(tuple, dense))
+
+
+def outputs(c):
+    h = homology(c)
+    ss = spectral_sequence(c)
+    return (h.dims, h.representatives, ss.pages, ss.stabilization, ss.infinity,
+            complex_to_json(c))
+
+
+def _samples():
+    rng = random.Random(3)
+    for k in range(24):
+        n = rng.randint(1, 6)
+        c = random_complex(rng, n, max_dim=10, filtered=k % 2 == 0)
+        # a rational copy: scaling one generator keeps d^2 = 0
+        g = rng.randrange(c.dim)
+        s = F(rng.choice([2, 3, 5]), rng.choice([1, 7]))
+        rows = [[x * (s if i == g else 1) / (s if j == g else 1) for j, x in enumerate(row)]
+                for i, row in enumerate(c.diff)]
+        yield c, rows
+
+
+def test_replace_diff_is_not_stale():
+    for c, rows in _samples():
+        zero = build(c.n, c.degrees, [[0] * c.dim for _ in range(c.dim)],
+                     filtration=c.filtration, names=c.names)
+        swapped = replace(zero, diff=rows)
+        want = build(c.n, c.degrees, rows, filtration=c.filtration, names=c.names)
+        assert_columns(swapped, rows)
+        assert outputs(swapped) == outputs(want)
+
+
+def test_replace_filtration_and_shift_are_not_stale():
+    for c, rows in _samples():
+        x = build(c.n, c.degrees, rows, filtration=c.filtration, names=c.names)
+        flat = [0] * c.dim
+        assert outputs(replace(x, filtration=flat)) == outputs(
+            build(c.n, c.degrees, rows, filtration=flat, names=c.names))
+        moved = shift(x, 3)
+        assert_columns(moved, rows)
+        assert outputs(moved) == outputs(
+            build(c.n, [u - 3 for u in c.degrees], rows, filtration=c.filtration,
+                  names=c.names))
+
+
+def test_positional_construction_matches_build():
+    for c, rows in _samples():
+        direct = FracComplex(c.n, c.degrees, rows, c.names)
+        assert_columns(direct, rows)
+        assert outputs(direct) == outputs(build(c.n, c.degrees, rows, names=c.names))
+        assert direct == build(c.n, c.degrees, rows, names=c.names)
+        assert hash(direct) == hash(build(c.n, c.degrees, rows, names=c.names))
+
+
+def test_every_construction_path_holds_scaled_columns():
+    rng = random.Random(8)
+    for c, rows in _samples():
+        assert_columns(build(c.n, c.degrees, rows, filtration=c.filtration), rows)
+        assert_columns(complex_from_json(complex_to_json(c)), c.diff)
+        hc = homology_complex(c)
+        assert_columns(hc, [[0] * hc.dim for _ in range(hc.dim)])
+        # cone: [[-d_X, 0], [f, d_Y]], with denominators from all three parts
+        x = build(c.n, c.degrees, rows)
+        y = random_complex(rng, c.n, max_dim=6)
+        f = [[v / 7 for v in row] for row in random_chain_map(rng, x, y)]
+        want = [[-v for v in row] + [0] * y.dim for row in rows]
+        want += [list(f_row) + list(y_row) for f_row, y_row in zip(f, y.diff)]
+        assert_columns(cone(f, x, y), want)
+    for n in range(1, 6):
+        assert_columns(unknot_hfkn(n), [[0] * n for _ in range(n)])
+
+
+def test_koszul_columns_follow_the_cube():
+    # two commuting maps with different denominators on a ladder 0 -> 2 -> 4
+    u0 = [[0, 0, 0], [F(1, 2), 0, 0], [0, F(1, 2), 0]]
+    u1 = [[0, 0, 0], [F(2, 3), 0, 0], [0, F(2, 3), 0]]
+    one = koszul_tensor(build_module(2, [0, 2, 4], [u0]))
+    z = [[0] * 3 for _ in range(3)]
+    assert_columns(one, [r + s for r, s in zip(z, z)] + [r + s for r, s in zip(u0, z)])
+    two = koszul_tensor(build_module(2, [0, 2, 4], [u0, u1]))
+    neg_u1 = [[-x for x in row] for row in u1]
+    blocks = [  # vertices 00, 01, 10, 11; column = source vertex
+        [z, z, z, z],
+        [u0, z, z, z],
+        [u1, z, z, z],
+        [z, neg_u1, u0, z],
+    ]
+    assert_columns(two, [sum((blk[i] for blk in brow), []) for brow in blocks for i in range(3)])
+
+
+# -- validation is unchanged ---------------------------------------------------------
+
+
+def kind_of(call):
+    with pytest.raises(ComplexError) as err:
+        call()
+    return err.value.kind
+
+
+def test_ragged_and_short_matrices_are_shape_errors():
+    assert kind_of(lambda: build(1, [0, 1], [[0, 0], [1]])) == "shape"
+    assert kind_of(lambda: build(1, [0, 1], [[0, 0]])) == "shape"
+    assert kind_of(lambda: build(1, [0, 1], [[0, 0], [1, 0], [0, 0]])) == "shape"
+    x = build(1, [0], [[0]])
+    assert kind_of(lambda: cone([[1, 0]], x, x)) == "shape"
+    assert kind_of(lambda: build_module(2, [0, 2], [[[0, 0]]])) == "shape"
+
+
+def test_d_squared_visible_only_with_rational_entries():
+    # d x0 = x1/2 + x2, d x1 = y, d x2 = -y: the numerators alone cancel
+    rows = [[0, 0, 0, 0], [F(1, 2), 0, 0, 0], [1, 0, 0, 0], [0, 1, -1, 0]]
+    assert kind_of(lambda: build(1, [0, 1, 1, 2], rows)) == "d2"
+    rows[3][2] = F(-1, 2)
+    assert build(1, [0, 1, 1, 2], rows).dim == 4
+
+
+def test_chain_map_off_by_a_rational_factor_is_refused():
+    x = build(1, [0, 1], [[0, 0], [F(1, 2), 0]])
+    y = build(1, [0, 1], [[0, 0], [F(1, 3), 0]])
+    # f d_X = d_Y f needs b/2 = a/3: a = 3/5, b = 2/5
+    good = [[F(3, 5), 0], [0, F(2, 5)]]
+    assert homology(cone(good, x, y)).dims == {}
+    bad = [[F(3, 5), 0], [0, F(3, 5)]]
+    assert kind_of(lambda: cone(bad, x, y)) == "d2"
+
+
+@pytest.mark.parametrize("entry, error", [(None, TypeError), ("abc", ValueError),
+                                          ([], TypeError)])
+def test_non_numeric_entries_are_refused(entry, error):
+    with pytest.raises(error):
+        build(1, [0, 1], [[0, 0], [entry, 0]])
+    with pytest.raises(error):
+        build(1, [0, 1], [[entry, 0], [1, 0]])   # in a zero slot, never skipped
+    x = build(1, [0], [[0]])
+    with pytest.raises(error):
+        cone([[entry]], x, x)
+    with pytest.raises(error):
+        build_module(2, [0, 2], [[[0, 0], [entry, 0]]])

@@ -160,6 +160,18 @@ def test_bool_dimension_in_json_is_refused():
         table_from_json(text)
 
 
+def test_bool_degree_is_refused():
+    with pytest.raises(TableError):
+        make_table(("a", "b"), (False, False), {(True, False): 1})
+
+
+def test_bool_degree_in_json_is_refused():
+    text = json.dumps({"labels": ["a", "b"], "half": [False, False],
+                       "entries": [{"deg": [True, 0], "dim": 2}]})
+    with pytest.raises(TableError):
+        table_from_json(text)
+
+
 def test_table_json_round_trip():
     tab = make_table(("gr_T", "gr_M"), (True, False), {(F(1, 2), -1): 2, (0, 0): 1})
     assert table_from_json(table_to_json(tab)) == tab
