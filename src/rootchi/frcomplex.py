@@ -51,6 +51,9 @@ def _columns(rows, nrows: int, ncols: int) -> tuple[Columns, int]:
             raise ComplexError("shape", f"expected {ncols} columns, got {len(row)}")
         for j, x in enumerate(row):
             if type(x) not in _EXACT:
+                if isinstance(x, float):
+                    raise ComplexError("shape", f"entry ({i}, {j}) is the float {x!r}; "
+                                                "give an int or a Fraction")
                 x = Fraction(x)
             if x:
                 cols[j][i] = x
@@ -271,10 +274,15 @@ def _by_degree(c: FracComplex) -> dict[int, list[int]]:
     return out
 
 
+def _block(c: FracComplex, rows: list[int], cols: list[int]):
+    """The integer block of d from gens ``cols`` to gens ``rows``, row by row."""
+    picked = [c.cols[j] for j in cols]
+    return ([col.get(i, 0) for col in picked] for i in rows)
+
+
 def _cycles(c: FracComplex, rows: list[int], cols: list[int]) -> list[tuple[int, list[int]]]:
     """Integer kernel of the block of d from gens ``cols`` to gens ``rows``."""
-    picked = [c.cols[j] for j in cols]
-    return _null_space(Echelon([col.get(i, 0) for col in picked] for i in rows), len(cols))
+    return _null_space(Echelon(_block(c, rows, cols)), len(cols))
 
 
 def _scatter(v, positions: list[int], size: int) -> list[int]:
@@ -303,30 +311,60 @@ def chi_of_dims(n: int, dims: dict[int, int]) -> CycloNum:
     return root_sum(n, dims.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomologyResult:
+    """Homology dimensions (degree units -> dim, ascending, nonzero only) and
+    representative cycles per degree; for a result of ``homology``,
+    ``representatives`` is a view built when first read."""
+
     dims: dict[int, int]
     representatives: dict[int, list[tuple[Fraction, ...]]]
+
+    def __init__(self, dims, representatives):
+        vars(self).update(dims=dims, representatives=representatives)
+
+    def __getattr__(self, name):
+        if name != "representatives":
+            raise AttributeError(name)
+        reps = vars(self)["representatives"] = _representatives(vars(self)["_complex"])
+        return reps
 
 
 def homology(c: FracComplex) -> HomologyResult:
     """Degree-indexed homology dimensions with representative cycles.
 
-    The representatives in each degree are the kernel basis vectors that are
+    The dimensions come from one rank per block of d, by rank-nullity:
+    dim H_u = |C_u| - rank(d: C_u -> C_(u+1)) - rank(d: C_(u-1) -> C_u).
+    The representatives are built when first read (``rootchi complex hom``
+    never reads them): in each degree, the kernel basis vectors that are
     independent of the image and of the representatives chosen before them.
     """
     by_degree = _by_degree(c)
+    rank_out = {u: rank(_block(c, by_degree[u + c.n], cols))
+                for u, cols in by_degree.items() if u + c.n in by_degree}
     dims: dict[int, int] = {}
+    for u, cols in sorted(by_degree.items()):
+        k = len(cols) - rank_out.get(u, 0) - rank_out.get(u - c.n, 0)
+        if k:
+            dims[u] = k
+    h = object.__new__(HomologyResult)
+    vars(h).update(dims=dims, _complex=c)
+    return h
+
+
+def _representatives(c: FracComplex) -> dict[int, list[tuple[Fraction, ...]]]:
+    """Per degree, the kernel basis vectors independent of the image and of
+    the representatives chosen before them, as vectors over all generators."""
+    by_degree = _by_degree(c)
     reps: dict[int, list[tuple[Fraction, ...]]] = {}
     for u, cols in sorted(by_degree.items()):
         kern = _cycles(c, by_degree.get(u + c.n, []), cols)
         image = Echelon([c.cols[j].get(i, 0) for i in cols] for j in by_degree.get(u - c.n, []))
         quotient_basis = [(fc, w) for fc, w in kern if image.add(w)]
         if quotient_basis:
-            dims[u] = len(quotient_basis)
             reps[u] = [tuple(Fraction(x, w[fc]) if x else _ZERO
                              for x in _scatter(w, cols, c.dim)) for fc, w in quotient_basis]
-    return HomologyResult(dims, reps)
+    return reps
 
 
 def homology_complex(c: FracComplex) -> FracComplex:
@@ -589,7 +627,7 @@ def complex_from_json(text: str) -> FracComplex:
         names = [g.get("name", f"x{i}") for i, g in enumerate(gens)]
         filts = [g.get("filt") for g in gens]
         rows = [[Fraction(str(x)) for x in row] for row in data["differential"]]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ComplexError("shape", f"bad complex JSON: {e}")
     filtration = None
     if any(f is not None for f in filts):

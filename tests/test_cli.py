@@ -188,6 +188,16 @@ def test_complex_non_integer_grading_is_a_shape_error(tmp_path, capsys, field, v
     assert "error [shape]" in err
 
 
+def test_complex_zero_denominator_is_a_shape_error(tmp_path, capsys):
+    f = tmp_path / "z.json"
+    f.write_text(json.dumps({"n": 1, "generators": [{"name": "x", "deg_times_n": 0}],
+                             "differential": [["1/0"]]}))
+    code, out, err = run_cli(["complex", "hom", str(f)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error [shape]" in err and "Traceback" not in err
+
+
 def test_complex_ss_two_level(tmp_path, capsys):
     f = tmp_path / "c.json"
     f.write_text(json.dumps({

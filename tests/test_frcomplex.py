@@ -187,6 +187,25 @@ def test_build_rejects_non_integer_grading_data():
         assert err.value.kind == "shape"
 
 
+def test_build_rejects_float_entries():
+    with pytest.raises(ComplexError) as err:
+        build(1, [0, 1], [[0, 0], [0.1, 0]])
+    assert err.value.kind == "shape"
+
+
+def test_cone_rejects_float_map_entries():
+    x = build(1, [0], [[0]])
+    with pytest.raises(ComplexError) as err:
+        cone([[0.5]], x, x)
+    assert err.value.kind == "shape"
+
+
+def test_build_module_rejects_float_entries():
+    with pytest.raises(ComplexError) as err:
+        build_module(2, [0, 2], [[[0, 0], [0.25, 0]]])
+    assert err.value.kind == "shape"
+
+
 # -- the elimination kernel against a plain Fraction Gauss-Jordan reference -------
 
 
