@@ -52,8 +52,8 @@ def _columns(rows, nrows: int, ncols: int) -> tuple[Columns, int]:
         for j, x in enumerate(row):
             if type(x) not in _EXACT:
                 if isinstance(x, float):
-                    raise ComplexError("shape", f"entry ({i}, {j}) is the float {x!r}; "
-                                                "give an int or a Fraction")
+                    raise ComplexError("shape", f"entry ({i}, {j}) is the float {x!r}, "
+                                                "not an int or a Fraction")
                 x = Fraction(x)
             if x:
                 cols[j][i] = x
@@ -353,8 +353,7 @@ def homology(c: FracComplex) -> HomologyResult:
 
 
 def _representatives(c: FracComplex) -> dict[int, list[tuple[Fraction, ...]]]:
-    """Per degree, the kernel basis vectors independent of the image and of
-    the representatives chosen before them, as vectors over all generators."""
+    """The ``representatives`` of ``homology(c)``, over all generators."""
     by_degree = _by_degree(c)
     reps: dict[int, list[tuple[Fraction, ...]]] = {}
     for u, cols in sorted(by_degree.items()):
