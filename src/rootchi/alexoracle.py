@@ -69,28 +69,29 @@ class SymmetricAlex:
 # -- arcs and the relation matrix ---------------------------------------------
 
 
-def _arc_classes(d: LinkDiagram) -> dict[int, int]:
-    """Map each edge to its arc id (edges joined through overstrand passes)."""
-    parent: dict[int, int] = {}
+def _classes(d: LinkDiagram, joins) -> dict[int, int]:
+    """Union-find over the edges of ``d``: each edge mapped to the least edge
+    it is joined to through the edge pairs in ``joins``."""
+    parent = {e: e for c in d.crossings for e in c.edges()}
 
     def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
+    for x, y in joins:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
+    return {e: find(e) for e in parent}
 
-    for c in d.crossings:
-        for e in c.edges():
-            parent.setdefault(e, e)
-        union(c.over_in, c.over_out)
-    roots = sorted({find(e) for e in parent})
-    index = {r: i for i, r in enumerate(roots)}
-    return {e: index[find(e)] for e in parent}
+
+def _arc_classes(d: LinkDiagram) -> dict[int, int]:
+    """Map each edge to its arc id (edges joined through overstrand passes)."""
+    least = _classes(d, ((c.over_in, c.over_out) for c in d.crossings))
+    index = {r: i for i, r in enumerate(sorted(set(least.values())))}
+    return {e: index[r] for e, r in least.items()}
 
 
 def _is_connected(d: LinkDiagram) -> bool:
@@ -100,26 +101,8 @@ def _is_connected(d: LinkDiagram) -> bool:
         return False
     if not d.crossings:
         return True
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    edges = set()
-    for c in d.crossings:
-        edges.update(c.edges())
-    for e in edges:
-        parent.setdefault(e, e)
-    for c in d.crossings:
-        es = c.edges()
-        for e in es[1:]:
-            rx, ry = find(es[0]), find(e)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    return len({find(e) for e in edges}) == 1
+    least = _classes(d, ((c.under_in, e) for c in d.crossings for e in c.edges()[1:]))
+    return len(set(least.values())) == 1
 
 
 def _component_passes_under(d: LinkDiagram) -> bool:

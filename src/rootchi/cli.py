@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import corpus as corpus_mod
-from .frcomplex import (ComplexError, complex_from_json, complex_to_json,
+from .frcomplex import (MAX_N, ComplexError, complex_from_json, complex_to_json,
                         euler_char, homology, spectral_sequence, unknot_hfkn)
 from .laurent import PolyError, serialize
 from .linkdiag import DiagramError, LinkDiagram, parse_link
@@ -121,6 +121,8 @@ def _fmt_deg(units: int, n: int) -> str:
 
 def cmd_complex(args) -> int:
     if args.action == "unknot-hfkn":
+        if args.n > MAX_N:
+            raise ResourceBoundError(f"n = {args.n} exceeds the bound {MAX_N}")
         print(complex_to_json(unknot_hfkn(args.n)))
         return EXIT_OK
     try:

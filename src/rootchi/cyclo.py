@@ -66,8 +66,6 @@ def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list
         for i, y in enumerate(b):
             rem[k + i] -= c * y
         _ptrim(rem)
-        if len(rem) >= len(b) and rem and rem[-1] == 0:
-            _ptrim(rem)
     return _ptrim(q), _ptrim(rem)
 
 

@@ -19,17 +19,22 @@ e^(-pi*i/n); those facts are what the verification suite exercises.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import CycloNum, root_sum
+from .skein import ResourceBoundError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Columns = tuple[dict[int, int], ...]   # cols[j][i]: nonzero integer entry (i, j)
 _ZERO = Fraction(0)
 _EXACT = (int, Fraction)
+MAX_N = 200  # largest n read from JSON: euler_char's cost grows faster than n^2
+_MAX_EXPONENT = 400  # Fraction expands "1e-k" in full; finite floats need 324
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 class ComplexError(ValueError):
@@ -625,10 +630,21 @@ def complex_from_json(text: str) -> FracComplex:
         degrees = [g["deg_times_n"] for g in gens]
         names = [g.get("name", f"x{i}") for i, g in enumerate(gens)]
         filts = [g.get("filt") for g in gens]
-        rows = [[Fraction(str(x)) for x in row] for row in data["differential"]]
+        rows = [[_entry(x) for x in row] for row in data["differential"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ComplexError("shape", f"bad complex JSON: {e}")
     filtration = None
     if any(f is not None for f in filts):
         filtration = [f if f is not None else 0 for f in filts]
-    return build(n, degrees, rows, filtration=filtration, names=names)
+    c = build(n, degrees, rows, filtration=filtration, names=names)
+    if c.n > MAX_N:
+        raise ResourceBoundError(f"n = {c.n} exceeds the bound {MAX_N}")
+    return c
+
+
+def _entry(x) -> Fraction:
+    text = str(x)
+    m = _EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > _MAX_EXPONENT:
+        raise ComplexError("shape", f"exponent of {text!r} exceeds {_MAX_EXPONENT}")
+    return Fraction(text)

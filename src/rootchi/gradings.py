@@ -197,6 +197,18 @@ def collapse_to_frac(t: DimTable, n: int, convention: str,
     return dict(sorted(out.items()))
 
 
+def eval_exponent(convention: str, n: int) -> int:
+    """The k for which evaluating chi_t at t^(1/2) = e^(pi*i*k/(2n)), as in
+    ``cyclo.eval_at_root``, gives the chi of ``collapse_to_frac`` with this
+    convention: 2n - 2 (t^(1/2) -> -e^(-pi*i/n)) for ``hfk`` and
+    2n + 2 = -(2n - 2) mod 4n (t^(1/2) -> -e^(pi*i/n)) for ``hfk_primed``."""
+    if convention == "hfk":
+        return 2 * n - 2
+    if convention == "hfk_primed":
+        return 2 * n + 2
+    raise TableError(f"no root evaluation for convention {convention!r}")
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
     """Grading shifts attached to a homology variant for an l-component link."""

@@ -41,10 +41,11 @@ _PLUS_SMOOTHED = _A ** -1 * _Z
 _MINUS_SWITCHED = _A ** 2
 _MINUS_SMOOTHED = _A * _Z
 _Q_DIFF = _Q - _Q ** -1  # the image of z under the sl(n) specialization
+_S = LaurentPoly.make(("t",), {(1,): 1, (-1,): -1})  # t^(1/2) - t^(-1/2)
 
 
 class ResourceBoundError(RuntimeError):
-    """Crossing count exceeds the configured recursion bound."""
+    """Crossing count, or a complex's n, exceeds its bound."""
 
 
 class InvariantError(RuntimeError):
@@ -147,8 +148,7 @@ def alexander(d: LinkDiagram, unreduced: LaurentPoly | None = None) -> LaurentPo
     lo, _ = r.exponent_range("z")
     if lo < 0:
         raise InvariantError("a=1 specialization kept negative z powers")
-    s_image = LaurentPoly.make(("t",), {(1,): 1, (-1,): -1})  # t^(1/2) - t^(-1/2)
-    return substitute(r, "z", s_image)
+    return substitute(r, "z", _S)
 
 
 @cache

@@ -16,17 +16,15 @@ from fractions import Fraction
 
 from .alexoracle import alex_matrix_poly, normalize_symmetric
 from .cyclo import CycloNum, eval_at_root, root
+from .gradings import eval_exponent, hfk_shift_spec
 from .laurent import (LaurentPoly, PolyError, RationalPair, exact_div, one,
-                      serialize, substitute, var, zero)
+                      serialize, substitute, zero)
 from .linkdiag import LinkDiagram, SkeinSite, skein_resolve
-from .skein import (InvariantError, alexander, homfly_middle, homfly_reduced,
-                    homfly_unreduced, sln_poly, sln_reduce)
+from .skein import (_A, _A_FACTOR, _S, _Z, InvariantError, alexander,
+                    homfly_middle, homfly_reduced, homfly_unreduced, sln_poly,
+                    sln_reduce)
 
-_A = var("a")
 _A_INV = _A ** -1
-_A_FACTOR = _A - _A_INV
-_Z = var("z")
-_S = LaurentPoly.make(("t",), {(1,): 1, (-1,): -1})  # t^(1/2) - t^(-1/2)
 
 
 @dataclass(frozen=True)
@@ -274,10 +272,7 @@ def verify_oracle(d: LinkDiagram, delta: LaurentPoly | None = None) -> CheckResu
     """
     dl = delta if delta is not None else alexander(d)
     sym = normalize_symmetric(alex_matrix_poly(d))
-    if sym.sign_fixed or d.components == 1:
-        status = "pass" if sym.poly == dl else "fail"
-    else:
-        status = "pass" if (sym.poly == dl or sym.poly == -dl) else "fail"
+    status = "pass" if sym.matches(dl) else "fail"
     return CheckResult("alexander_oracle", status, serialize(sym.poly), serialize(dl))
 
 
@@ -298,7 +293,7 @@ def verify_thm_sln(d: LinkDiagram, n: int,
     def go() -> list[CheckResult]:
         if n == 1:
             return _sl1_checks("sln", v)
-        rhs = v.delta_at(n, 2 * n + 2)  # t^(1/2) -> -e^(pi*i/n)
+        rhs = v.delta_at(n, eval_exponent("hfk_primed", n))  # t^(1/2) -> -e^(pi*i/n)
         lhs = v.sln_at_q(n, reduced=True)
         return [
             _check(f"sln{n}_reduced_eval", lhs, rhs),
@@ -326,13 +321,13 @@ def verify_thm_hfk(d: LinkDiagram, n: int,
         if n == 1:
             return _sl1_checks("hfk", v)
         ell = d.components
-        ev_minus = v.delta_at(n, 2 * n - 2)   # t^(1/2) -> -e^(-pi*i/n)
-        ev_plus = v.delta_at(n, 2 * n + 2)    # t^(1/2) -> -e^(pi*i/n)
+        at_minus = eval_exponent("hfk", n)          # t^(1/2) -> -e^(-pi*i/n)
+        ev_minus = v.delta_at(n, at_minus)
         chi_unprimed = root(n, 1 - ell) * ev_minus
-        chi_primed = ev_plus
-        shift_factor = root(n, (1 - ell) * (n - 1))  # e^(pi*i(1-l)(1-1/n))
+        chi_primed = v.delta_at(n, eval_exponent("hfk_primed", n))
+        shift_factor = root(n, hfk_shift_spec("reduced", ell, n).frac_shift_units)
         hat_poly = (-_S) ** (ell - 1) * v.delta()    # (t^(-1/2) - t^(1/2))^(l-1) Delta
-        hat_eval = eval_at_root(hat_poly, n, 2 * n - 2)
+        hat_eval = eval_at_root(hat_poly, n, at_minus)
         koszul = (CycloNum.from_rational(1) - root(n, 2)) ** (ell - 1)
         return [
             _check(f"hfk{n}_shift_consistency", chi_primed,
@@ -357,7 +352,7 @@ def verify_square(d: LinkDiagram, n: int,
     v = values or LinkValues(d, homfly, delta)
 
     def go() -> list[CheckResult]:
-        route_b = v.delta_at(n, 2 * n + 2)
+        route_b = v.delta_at(n, eval_exponent("hfk_primed", n))
         route_a = v.sln_at_q(n, reduced=True)
         omega = root(n, 1) - root(n, -1)
         route_c = CycloNum.from_rational(0)

@@ -2,11 +2,12 @@ import json
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 
 import pytest
 
 from rootchi.cli import main
-from rootchi.frcomplex import complex_to_json, unknot_hfkn
+from rootchi.frcomplex import MAX_N, complex_from_json, complex_to_json, unknot_hfkn
 
 
 def run_cli(args, capsys):
@@ -198,6 +199,48 @@ def test_complex_zero_denominator_is_a_shape_error(tmp_path, capsys):
     assert "error [shape]" in err and "Traceback" not in err
 
 
+def test_complex_n_above_bound_is_a_resource_bound(tmp_path, capsys):
+    f = tmp_path / "n.json"
+    f.write_text(json.dumps({"n": MAX_N + 1,
+                             "generators": [{"name": "x", "deg_times_n": 0}],
+                             "differential": [["0"]]}))
+    code, out, err = run_cli(["complex", "chi", str(f)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource bound:")
+
+
+def test_unknot_hfkn_n_above_bound_is_a_resource_bound(capsys):
+    code, out, err = run_cli(["complex", "unknot-hfkn", "--n", str(MAX_N + 1)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource bound:")
+
+
+def _two_generator_json(entry) -> str:
+    return json.dumps({"n": 1, "generators": [{"name": "x", "deg_times_n": 0},
+                                              {"name": "y", "deg_times_n": 1}],
+                       "differential": [[0, 0], [entry, 0]]})
+
+
+def test_complex_huge_exponent_entry_is_a_shape_error(tmp_path, capsys):
+    f = tmp_path / "e.json"
+    f.write_text(_two_generator_json("1e-1000000"))
+    code, out, err = run_cli(["complex", "hom", str(f)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error [shape]" in err and "exponent" in err
+
+
+@pytest.mark.parametrize("entry, value", [
+    (1e-05, Fraction(1, 100000)),
+    (5e-324, Fraction(5, 10 ** 324)),
+    (1e308, Fraction(10 ** 308)),
+])
+def test_complex_float_entries_keep_their_decimal_value(entry, value):
+    assert complex_from_json(_two_generator_json(entry)).diff[1][0] == value
+
+
 def test_complex_ss_two_level(tmp_path, capsys):
     f = tmp_path / "c.json"
     f.write_text(json.dumps({
@@ -273,23 +316,3 @@ def test_bad_crossing_bound_setting_is_a_usage_error(capsys, monkeypatch, comman
     assert code == 2
     assert "ROOTCHI_MAX_CROSSINGS" in err and repr(value) in err
     assert out == ""
-
-
-@pytest.mark.slow
-def test_run_verification_script_refuses_bad_n_range():
-    import pathlib
-    script = pathlib.Path(__file__).parent.parent / "scripts" / "run_verification.py"
-    res = subprocess.run([sys.executable, str(script), "--n-range", "0..1"],
-                         capture_output=True, text=True)
-    assert res.returncode == 2
-    assert "n-range" in res.stderr and res.stdout == ""
-
-
-@pytest.mark.parametrize("trials", ["0", "-3", "x"])
-def test_random_complex_experiments_refuses_bad_trials(trials):
-    import pathlib
-    script = pathlib.Path(__file__).parent.parent / "scripts" / "random_complex_experiments.py"
-    res = subprocess.run([sys.executable, str(script), "--trials", trials],
-                         capture_output=True, text=True)
-    assert res.returncode == 2
-    assert "--trials" in res.stderr and res.stdout == ""

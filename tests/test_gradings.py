@@ -7,7 +7,7 @@ import pytest
 from rootchi.cyclo import eval_at_root, root
 from rootchi.frcomplex import chi_of_dims, unknot_hfkn
 from rootchi.gradings import (TableError, chi_bigraded, chi_trigraded,
-                              collapse_to_frac, hfk_shift_spec,
+                              collapse_to_frac, eval_exponent, hfk_shift_spec,
                               homfly_grading_dict, make_table, table_from_json,
                               table_to_json)
 from rootchi.laurent import mono, one, parse_poly, substitute, var
@@ -123,6 +123,12 @@ def test_collapse_matches_root_evaluation():
         lhs = eval_at_root(chi_t, n, 2 * n - 2)
         rhs = chi_of_dims(n, collapse_to_frac(tab, n, "hfk"))
         assert lhs == rhs
+        assert eval_exponent("hfk", n) == 2 * n - 2
+        # the primed collapse at its own point, t^(1/2) = -e^(pi*i/n)
+        primed = eval_at_root(chi_t, n, eval_exponent("hfk_primed", n))
+        assert primed == chi_of_dims(n, collapse_to_frac(tab, n, "hfk_primed"))
+    with pytest.raises(TableError):
+        eval_exponent("sln", 3)
 
 
 def test_dictionary_intertwines_chi():
