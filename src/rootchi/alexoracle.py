@@ -21,6 +21,8 @@ from .laurent import LaurentPoly, exact_div, one, var, zero
 from .linkdiag import LinkDiagram
 
 _T = var("t")
+# row entries at the overarc, the incoming and the outgoing underarc, by sign
+_ROW = {1: (1 - _T, _T, -one()), -1: (_T - 1, one(), -_T)}
 
 
 class OracleError(ValueError):
@@ -69,9 +71,9 @@ class SymmetricAlex:
 # -- arcs and the relation matrix ---------------------------------------------
 
 
-def _classes(d: LinkDiagram, joins) -> dict[int, int]:
-    """Union-find over the edges of ``d``: each edge mapped to the least edge
-    it is joined to through the edge pairs in ``joins``."""
+def _arc_classes(d: LinkDiagram) -> dict[int, int]:
+    """Map each edge to its arc id: union-find over the edges joined through
+    overstrand passes, arcs numbered in the order of their least edge."""
     parent = {e: e for c in d.crossings for e in c.edges()}
 
     def find(x: int) -> int:
@@ -80,43 +82,13 @@ def _classes(d: LinkDiagram, joins) -> dict[int, int]:
             x = parent[x]
         return x
 
-    for x, y in joins:
-        rx, ry = find(x), find(y)
+    for c in d.crossings:
+        rx, ry = find(c.over_in), find(c.over_out)
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
-    return {e: find(e) for e in parent}
-
-
-def _arc_classes(d: LinkDiagram) -> dict[int, int]:
-    """Map each edge to its arc id (edges joined through overstrand passes)."""
-    least = _classes(d, ((c.over_in, c.over_out) for c in d.crossings))
+    least = {e: find(e) for e in parent}
     index = {r: i for i, r in enumerate(sorted(set(least.values())))}
     return {e: index[r] for e, r in least.items()}
-
-
-def _is_connected(d: LinkDiagram) -> bool:
-    if d.unknot_count and d.crossings:
-        return False
-    if d.unknot_count > 1:
-        return False
-    if not d.crossings:
-        return True
-    least = _classes(d, ((c.under_in, e) for c in d.crossings for e in c.edges()[1:]))
-    return len(set(least.values())) == 1
-
-
-def _component_passes_under(d: LinkDiagram) -> bool:
-    """Every component must pass under somewhere, else the link is split."""
-    from .linkdiag import _component_cycles  # traversal helper
-
-    under_edges = set()
-    for c in d.crossings:
-        under_edges.add(c.under_in)
-        under_edges.add(c.under_out)
-    for cyc in _component_cycles(d.crossings):
-        if not any(e in under_edges for e in cyc):
-            return False
-    return True
 
 
 def _bareiss_det(m: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -163,29 +135,23 @@ def alex_matrix_poly(d: LinkDiagram) -> AlexClass:
     ell = d.components
     if not d.crossings:
         return AlexClass.of(one(), ell) if d.unknot_count == 1 else AlexClass(zero(), ell)
-    if not _is_connected(d) or not _component_passes_under(d):
+    if d.unknot_count:  # a split unknot component
         return AlexClass(zero(), ell)
     arcs = _arc_classes(d)
     n_arcs = max(arcs.values()) + 1
+    if n_arcs != len(d.crossings):
+        # n_arcs is the crossing count plus the number of components that never
+        # pass under, and such a component is split off.  Any other split
+        # diagram has a block-diagonal minor with singular blocks: determinant 0.
+        return AlexClass(zero(), ell)
     rows: list[list[LaurentPoly]] = []
     for c in d.crossings:
         row = [zero()] * n_arcs
-        o, x, y = arcs[c.over_in], arcs[c.under_in], arcs[c.under_out]
-        if c.sign > 0:
-            row[o] = row[o] + (one() - _T)
-            row[x] = row[x] + _T
-            row[y] = row[y] - one()
-        else:
-            row[o] = row[o] + (_T - one())
-            row[x] = row[x] + one()
-            row[y] = row[y] - _T
+        for a, entry in zip((arcs[c.over_in], arcs[c.under_in], arcs[c.under_out]),
+                            _ROW[c.sign]):
+            row[a] = row[a] + entry
         rows.append(row)
-    if n_arcs != len(d.crossings):
-        # an arc count mismatch means some component never goes under
-        return AlexClass(zero(), ell)
-    minor = [row[:-1] for row in rows[:-1]] if n_arcs > 1 else []
-    det = _bareiss_det(minor) if n_arcs > 1 else one()
-    return AlexClass.of(det, ell)
+    return AlexClass.of(_bareiss_det([row[:-1] for row in rows[:-1]]), ell)
 
 
 def normalize_symmetric(c: AlexClass) -> SymmetricAlex:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Rat = int | Fraction
+Terms = tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
 class PolyError(ValueError):
@@ -53,37 +54,28 @@ class LaurentPoly:
     """
 
     vars: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    terms: Terms
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def make(vars: tuple[str, ...], term_map: dict[tuple[int, ...], Rat]) -> "LaurentPoly":
+    def make(vars: tuple[str, ...], coeffs: dict[tuple[int, ...], Rat]) -> "LaurentPoly":
         """Canonicalize and build: drops zeros and unused variables."""
         cleaned: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in term_map.items():
+        for exps, c in coeffs.items():
             if len(exps) != len(vars):
                 raise PolyError("exponent vector length does not match variable count")
             c = Fraction(c)
-            if c == 0:
-                continue
-            cleaned[tuple(exps)] = cleaned.get(tuple(exps), Fraction(0)) + c
-        cleaned = {e: c for e, c in cleaned.items() if c != 0}
-        # drop variables that never occur with nonzero exponent
-        used = [i for i in range(len(vars)) if any(e[i] != 0 for e in cleaned)]
-        if len(used) != len(vars):
-            vars = tuple(vars[i] for i in used)
-            cleaned = {tuple(e[i] for i in used): c for e, c in cleaned.items()}
-        # keep variables sorted by name
-        order = sorted(range(len(vars)), key=lambda i: vars[i])
-        if order != list(range(len(vars))):
-            vars = tuple(vars[i] for i in order)
-            cleaned = {tuple(e[i] for i in order): c for e, c in cleaned.items()}
+            if c:
+                cleaned[exps] = c
+        # keep the variables that occur with a nonzero exponent, sorted by name
+        keep = sorted((i for i in range(len(vars)) if any(e[i] for e in cleaned)),
+                      key=lambda i: vars[i])
+        if keep != list(range(len(vars))):
+            vars = tuple(vars[i] for i in keep)
+            cleaned = {tuple(e[i] for i in keep): c for e, c in cleaned.items()}
         terms = tuple(sorted(cleaned.items(), key=lambda t: _term_sort_key(t[0])))
         return LaurentPoly(vars, terms)
-
-    def term_map(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.terms)
 
     # -- predicates --------------------------------------------------------
 
@@ -112,36 +104,13 @@ class LaurentPoly:
 
     # -- alignment ---------------------------------------------------------
 
-    def with_vars(self, vars: tuple[str, ...]) -> "LaurentPoly":
-        """Re-express over a sorted superset of the current variables.
-
-        Unlike :meth:`make`, the requested variables are all kept, so the
-        result can be combined slotwise with other polynomials over ``vars``.
-        """
-        if vars == self.vars:
-            return self
-        if tuple(sorted(vars)) != vars:
-            raise VariableMismatchError("target variables must be sorted")
-        missing = [v for v in self.vars if v not in vars]
-        if missing:
-            raise VariableMismatchError(f"cannot drop variables {missing}")
-        pos = {v: i for i, v in enumerate(vars)}
-        idx = [pos[v] for v in self.vars]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms:
-            vec = [0] * len(vars)
-            for j, e in zip(idx, exps):
-                vec[j] = e
-            out[tuple(vec)] = c
-        terms = tuple(sorted(out.items(), key=lambda t: _term_sort_key(t[0])))
-        return LaurentPoly(vars, terms)
-
     @staticmethod
-    def _aligned(p: "LaurentPoly", q: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly", tuple[str, ...]]:
+    def _aligned(p: "LaurentPoly", q: "LaurentPoly") -> tuple[Terms, Terms, tuple[str, ...]]:
+        """The terms of ``p`` and ``q`` over the sorted union of their variables."""
         if p.vars == q.vars:
-            return p, q, p.vars
+            return p.terms, q.terms, p.vars
         vs = tuple(sorted(set(p.vars) | set(q.vars)))
-        return p.with_vars(vs), q.with_vars(vs), vs
+        return _spread(p, vs), _spread(q, vs), vs
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -150,9 +119,9 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         p, q, vs = LaurentPoly._aligned(self, other)
-        out = p.term_map()
-        for e, c in q.terms:
-            out[e] = out.get(e, Fraction(0)) + c
+        out = dict(p)
+        for e, c in q:
+            out[e] = out.get(e, 0) + c
         return LaurentPoly.make(vs, out)
 
     __radd__ = __add__
@@ -178,10 +147,10 @@ class LaurentPoly:
             return NotImplemented
         p, q, vs = LaurentPoly._aligned(self, other)
         out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in p.terms:
-            for e2, c2 in q.terms:
+        for e1, c1 in p:
+            for e2, c2 in q:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly.make(vs, out)
 
     __rmul__ = __mul__
@@ -220,6 +189,20 @@ def _coerce(x) -> LaurentPoly:
     if isinstance(x, (int, Fraction)):
         return const(x)
     return NotImplemented
+
+
+def _spread(p: LaurentPoly, vs: tuple[str, ...]) -> Terms:
+    """The terms of ``p`` over the sorted superset ``vs`` of its variables."""
+    if p.vars == vs:
+        return p.terms
+    idx = [vs.index(v) for v in p.vars]
+    out = []
+    for exps, c in p.terms:
+        vec = [0] * len(vs)
+        for j, e in zip(idx, exps):
+            vec[j] = e
+        out.append((tuple(vec), c))
+    return tuple(out)
 
 
 # -- convenience constructors ---------------------------------------------
@@ -287,55 +270,45 @@ def substitute(p: LaurentPoly, name: str, image: LaurentPoly | Rat) -> LaurentPo
     image = _coerce(image)
     if name not in p.vars:
         return p
-    i = p.vars.index(name)
-    rest_vars = tuple(v for v in p.vars if v != name)
-    out_vars = tuple(sorted(set(rest_vars) | set(image.vars)))
+    monomial = image.is_monomial()
+    if not monomial:
+        lo, _hi = p.exponent_range(name)
+        if lo < 0:
+            raise PolyError(
+                f"negative powers of {name} cannot take a non-monomial image; "
+                "clear denominators by exact division first")
+        if any(e[p.vars.index(name)] % 2 for e, _ in p.terms):
+            raise PolyError("half-integer exponents cannot take a non-monomial image")
+    chain = [one()]  # image^k at index k, for a non-monomial image
 
-    if image.is_monomial():
+    def image_power(m: int) -> LaurentPoly:
+        """image^(m/2)."""
+        if not monomial:
+            while len(chain) <= m // 2:
+                chain.append(chain[-1] * image)
+            return chain[m // 2]
         iexps, ic = image.terms[0]
-        acc: dict[tuple[int, ...], Fraction] = {}
-        pos = {v: j for j, v in enumerate(out_vars)}
-        for exps, c in p.terms:
-            m = exps[i]
-            if m % 2 == 0:
-                coeff = c * ic ** (m // 2)
-            elif ic == 1:
-                coeff = c
-            else:
-                raise PolyError(
-                    f"cannot raise coefficient {ic} to the half-integer power {m}/2")
-            vec = [0] * len(out_vars)
-            for v, e in zip(p.vars, exps):
-                if v != name:
-                    vec[pos[v]] += e
-            for v, e in zip(image.vars, iexps):
-                if (m * e) % 2 != 0:
-                    raise PolyError("substitution would create quarter-integer exponents")
-                vec[pos[v]] += m * e // 2
-            key = tuple(vec)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        return LaurentPoly.make(out_vars, acc)
+        if m % 2 and ic != 1:
+            raise PolyError(
+                f"cannot raise coefficient {ic} to the half-integer power {m}/2")
+        if any(m * e % 2 for e in iexps):
+            raise PolyError("substitution would create quarter-integer exponents")
+        return LaurentPoly.make(image.vars, {tuple(m * e // 2 for e in iexps): ic ** (m // 2)})
 
-    lo, _hi = p.exponent_range(name)
-    if lo < 0:
-        raise PolyError(
-            f"negative powers of {name} cannot take a non-monomial image; "
-            "clear denominators by exact division first")
-    if any(e[i] % 2 for e, _ in p.terms):
-        raise PolyError("half-integer exponents cannot take a non-monomial image")
-    powers: dict[int, LaurentPoly] = {0: one()}
-
-    def image_power(k: int) -> LaurentPoly:
-        if k not in powers:
-            powers[k] = image_power(k - 1) * image
-        return powers[k]
-
-    total = zero()
-    for exps, c in p.terms:
-        restmono = LaurentPoly.make(
-            rest_vars, {tuple(e for j, e in enumerate(exps) if j != i): c})
-        total = total + restmono * image_power(exps[i] // 2)
-    return total
+    # work over every variable of p and the image; make drops name if unused
+    vs = tuple(sorted(set(p.vars) | set(image.vars)))
+    i = vs.index(name)
+    powers: dict[int, Terms] = {}  # m -> the terms of image^(m/2) over vs
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in _spread(p, vs):
+        m = exps[i]
+        if m not in powers:
+            powers[m] = _spread(image_power(m), vs)
+        rest = exps[:i] + (0,) + exps[i + 1:]
+        for iexps, ic in powers[m]:
+            key = tuple(a + b for a, b in zip(rest, iexps))
+            acc[key] = acc.get(key, 0) + c * ic
+    return LaurentPoly.make(vs, acc)
 
 
 # -- exact division ----------------------------------------------------------
@@ -350,10 +323,10 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     p1, d1, vs = LaurentPoly._aligned(p, d)
     # shift both to nonnegative exponents so graded-lex division terminates
     nshift = len(vs)
-    pmin = [min(e[i] for e, _ in p1.terms) for i in range(nshift)]
-    dmin = [min(e[i] for e, _ in d1.terms) for i in range(nshift)]
-    pshift = {tuple(a - b for a, b in zip(e, pmin)): c for e, c in p1.terms}
-    dshift = {tuple(a - b for a, b in zip(e, dmin)): c for e, c in d1.terms}
+    pmin = [min(e[i] for e, _ in p1) for i in range(nshift)]
+    dmin = [min(e[i] for e, _ in d1) for i in range(nshift)]
+    pshift = {tuple(a - b for a, b in zip(e, pmin)): c for e, c in p1}
+    dshift = {tuple(a - b for a, b in zip(e, dmin)): c for e, c in d1}
 
     dlead = min(dshift, key=_term_sort_key)
     dlead_c = dshift[dlead]
@@ -456,31 +429,10 @@ class _Parser:
         return val
 
     def exponent(self) -> int:
-        """Doubled exponent after '^'."""
-        if self.peek() == "(":
+        """Doubled exponent after '^': n or (n), n/1 or n/2, each optionally negative."""
+        paren = self.peek() == "("
+        if paren:
             self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            num = self.take()
-            if not num.isdigit():
-                raise PolyParseError("bad exponent")
-            n = sign * int(num)
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if den == "2":
-                    d = n
-                elif den == "1":
-                    d = 2 * n
-                else:
-                    raise PolyParseError("exponent denominator must be 1 or 2")
-            else:
-                d = 2 * n
-            if self.take() != ")":
-                raise PolyParseError("expected ')'")
-            return d
         sign = 1
         if self.peek() == "-":
             self.take()
@@ -488,9 +440,20 @@ class _Parser:
         num = self.take()
         if not num.isdigit():
             raise PolyParseError("bad exponent")
-        return 2 * sign * int(num)
+        d = 2 * sign * int(num)
+        if paren:
+            if self.peek() == "/":
+                self.take()
+                den = self.take()
+                if den not in ("1", "2"):
+                    raise PolyParseError("exponent denominator must be 1 or 2")
+                d //= int(den)
+            if self.take() != ")":
+                raise PolyParseError("expected ')'")
+        return d
 
-    def term(self) -> LaurentPoly:
+    def term(self) -> tuple[dict[str, int], Fraction]:
+        """One product term: its doubled exponents by variable and its coefficient."""
         coeff = Fraction(1)
         exps: dict[str, int] = {}
         saw = False
@@ -517,8 +480,7 @@ class _Parser:
             raise PolyParseError(f"unexpected token {t!r}")
         if not saw:
             raise PolyParseError("empty term")
-        vars = tuple(exps)
-        return LaurentPoly.make(vars, {tuple(exps[v] for v in vars): coeff})
+        return exps, coeff
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -527,18 +489,22 @@ def parse_poly(text: str) -> LaurentPoly:
     if not toks:
         raise PolyParseError("empty input")
     p = _Parser(toks)
-    total = zero()
-    sign = 1
-    if p.peek() in "+-":
-        sign = -1 if p.take() == "-" else 1
-    total = total + sign * p.term()
-    while p.peek() is not None:
+    terms = []
+    op = p.take() if p.peek() in "+-" else "+"
+    while True:
+        exps, coeff = p.term()
+        terms.append((exps, -coeff if op == "-" else coeff))
+        if p.peek() is None:
+            break
         op = p.take()
         if op not in "+-":
             raise PolyParseError(f"expected + or -, got {op!r}")
-        sign = -1 if op == "-" else 1
-        total = total + sign * p.term()
-    return total
+    vs = tuple(sorted({v for exps, _ in terms for v in exps}))
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in terms:
+        key = tuple(exps.get(v, 0) for v in vs)
+        acc[key] = acc.get(key, 0) + c
+    return LaurentPoly.make(vs, acc)
 
 
 # -- rational pairs -----------------------------------------------------------

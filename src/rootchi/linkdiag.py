@@ -21,8 +21,15 @@ import re
 from dataclasses import dataclass, field, replace
 
 
+MAX_STRANDS = 200  # bound on braid strands and on split-unknot U tokens
+
+
 class DiagramError(ValueError):
     """Invalid or inconsistent diagram data."""
+
+
+class ResourceBoundError(RuntimeError):
+    """An input size, such as a crossing or strand count, exceeds its bound."""
 
 
 @dataclass(frozen=True)
@@ -250,6 +257,8 @@ def parse_pd(text: str) -> LinkDiagram:
     while tokens and tokens[-1] == "U":
         unknots += 1
         tokens.pop()
+    if unknots > MAX_STRANDS:
+        raise ResourceBoundError(f"{unknots} U tokens exceed the bound {MAX_STRANDS}")
     s = " ".join(tokens)
     if not s:
         return make_diagram((), unknots)
@@ -299,6 +308,8 @@ def parse_braid_word(word, strands: int, name: str | None = None) -> LinkDiagram
     """
     if strands < 1:
         raise DiagramError("need at least one strand")
+    if strands > MAX_STRANDS:
+        raise ResourceBoundError(f"{strands} strands exceed the bound {MAX_STRANDS}")
     for g in word:
         if g == 0 or abs(g) > strands - 1:
             raise DiagramError(f"generator {g} out of range for {strands} strands")

@@ -23,15 +23,15 @@ import os
 from functools import cache
 
 from .laurent import LaurentPoly, exact_div, one, substitute, var
-from .linkdiag import (LinkDiagram, canonical_key, first_non_descending,
-                       simplify, smooth_crossing, switch_crossing)
+from .linkdiag import (LinkDiagram, ResourceBoundError, canonical_key,
+                       first_non_descending, simplify, smooth_crossing,
+                       switch_crossing)
 
 DEFAULT_MAX_CROSSINGS = 14
 _ENV_BOUND = "ROOTCHI_MAX_CROSSINGS"
 
 _A = var("a")
 _Z = var("z")
-_T = var("t")
 _Q = var("q")
 _DELTA = (_A - _A ** -1) * _Z ** -1  # unreduced unknot value
 _A_FACTOR = _A - _A ** -1
@@ -42,10 +42,6 @@ _MINUS_SWITCHED = _A ** 2
 _MINUS_SMOOTHED = _A * _Z
 _Q_DIFF = _Q - _Q ** -1  # the image of z under the sl(n) specialization
 _S = LaurentPoly.make(("t",), {(1,): 1, (-1,): -1})  # t^(1/2) - t^(-1/2)
-
-
-class ResourceBoundError(RuntimeError):
-    """Crossing count, or a complex's n, exceeds its bound."""
 
 
 class InvariantError(RuntimeError):

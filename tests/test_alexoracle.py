@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from rootchi.alexoracle import (AlexClass, OracleError, alex_matrix_poly,
                                 normalize_symmetric)
 from rootchi.laurent import one, parse_poly, var
-from rootchi.linkdiag import parse_link
+from rootchi.linkdiag import parse_braid_word, parse_link
+from rootchi.skein import alexander
 
 t = var("t")
 
@@ -14,6 +17,10 @@ def test_matrix_poly_examples():
     assert alex_matrix_poly(parse_link("U")).poly == one()
     assert alex_matrix_poly(parse_link("U U")).is_zero()
     assert alex_matrix_poly(parse_link("BR[3; 1 1 1]")).is_zero()  # split
+    # split without U tokens: a two-component unlink, two separate Hopf links,
+    # and an unknot that meets a Hopf link only in a cancelling pair
+    for split in ("BR[2; 1 -1]", "BR[4; 1 1 3 3]", "BR[3; 1 -1 2 2]"):
+        assert alex_matrix_poly(parse_link(split)).is_zero(), split
 
 
 def test_one_crossing_unknot_degenerates_to_one():
@@ -50,3 +57,17 @@ def test_oracle_agrees_with_skein(corpus):
         assert sym.matches(delta), name
         if d.components == 1:
             assert sym.poly == delta, name
+
+
+def test_oracle_agrees_with_skein_on_random_closures():
+    rng = random.Random(11)
+    zero_classes = 0
+    for _ in range(60):
+        strands = rng.randint(2, 5)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 8))]
+        d = parse_braid_word(word, strands)
+        cls = alex_matrix_poly(d)
+        zero_classes += cls.is_zero()
+        assert normalize_symmetric(cls).matches(alexander(d)), (word, strands)
+    assert zero_classes > 0  # split closures are among the inputs

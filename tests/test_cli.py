@@ -8,6 +8,7 @@ import pytest
 
 from rootchi.cli import main
 from rootchi.frcomplex import MAX_N, complex_from_json, complex_to_json, unknot_hfkn
+from rootchi.linkdiag import MAX_STRANDS
 
 
 def run_cli(args, capsys):
@@ -39,6 +40,15 @@ def test_poly_resource_bound(capsys, monkeypatch):
     monkeypatch.setenv("ROOTCHI_MAX_CROSSINGS", "1")
     code, _, err = run_cli(["poly", "BR[2; 1 1 1]"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("link", [f"BR[{MAX_STRANDS + 1}; 1]",
+                                  " ".join(["U"] * (MAX_STRANDS + 1))])
+def test_poly_strands_and_unknots_above_bound_are_a_resource_bound(capsys, link):
+    code, out, err = run_cli(["poly", link], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource bound:")
 
 
 def test_poly_json_format(capsys):

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootchi.laurent import (ExactDivisionError, PolyParseError, RationalPair,
-                             VariableMismatchError, arith, exact_div, mono,
-                             one, parse_poly, serialize, substitute, var, zero)
+from rootchi.laurent import (ExactDivisionError, PolyError, PolyParseError,
+                             RationalPair, VariableMismatchError, arith,
+                             exact_div, mono, one, parse_poly, serialize,
+                             substitute, var, zero)
 
 a, q, t, z = var("a"), var("q"), var("t"), var("z")
+half_t = mono(1, t=Fraction(1, 2))
 
 
 def test_arith_examples():
@@ -49,6 +51,21 @@ def test_substitute_binomial_requires_nonnegative_powers():
     assert substitute(z ** 2 + 2, "z", q - q ** -1) == q ** 2 + q ** -2
 
 
+@pytest.mark.parametrize("image, p, message", [
+    (2 * q, half_t, "cannot raise coefficient 2 to the half-integer power 1/2"),
+    (mono(1, q=Fraction(1, 2)), half_t,
+     "substitution would create quarter-integer exponents"),
+    (q + 1, t ** -1 + 1, "negative powers of t cannot take a non-monomial image; "
+                         "clear denominators by exact division first"),
+    (q + 1, half_t + 1, "half-integer exponents cannot take a non-monomial image"),
+])
+def test_substitute_errors(image, p, message):
+    with pytest.raises(PolyError) as info:
+        substitute(p, "t", image)
+    assert type(info.value) is PolyError
+    assert str(info.value) == message
+
+
 def test_exact_div_examples():
     d = a - a ** -1
     assert exact_div(d * z ** -1, d) == z ** -1
@@ -81,7 +98,7 @@ coeffs = st.integers(-5, 5)
 exps = st.integers(-4, 4)
 
 
-def small_poly(names=("a", "q")):
+def small_poly(names=("a", "q"), last_exps=exps):
     def build(entries):
         total = zero()
         for c, es in entries:
@@ -90,7 +107,7 @@ def small_poly(names=("a", "q")):
             m = {v: Fraction(e) for v, e in zip(names, es)}
             total = total + mono(c, **m)
         return total
-    return st.lists(st.tuples(coeffs, st.tuples(exps, exps)), max_size=5).map(build)
+    return st.lists(st.tuples(coeffs, st.tuples(exps, last_exps)), max_size=5).map(build)
 
 
 @given(small_poly(), small_poly(), small_poly())
@@ -125,6 +142,50 @@ def test_parity_lemma_termwise(p):
     flipped = substitute(substitute(p, "a", -1 * a), "q", -1 * q)
     evens = all((sum(e) // 2) % 2 == 0 for e, _ in p.terms)
     assert (flipped == p) == (evens or p.is_zero())
+
+
+def _reference_substitute(p, name, image):
+    """Sum of c * m * image^k over the terms c * m * name^k of p."""
+    total = zero()
+    for exps, c in p.terms:
+        rest = {v: Fraction(e, 2) for v, e in zip(p.vars, exps) if v != name}
+        k = dict(zip(p.vars, exps)).get(name, 0) // 2
+        total = total + mono(c, **rest) * image ** k
+    return total
+
+
+# nonnegative integer powers of z, so that any image may replace it
+@given(small_poly(("a", "z"), st.integers(0, 4)),
+       st.sampled_from([q - q ** -1, half_t - half_t ** -1, 2 + t, a + q]))
+@settings(max_examples=60)
+def test_substitute_non_monomial_matches_reference(p, image):
+    assert substitute(p, "z", image) == _reference_substitute(p, "z", image)
+
+
+def _assert_canonical(p):
+    """The module's invariants: sorted, used variables; no zero coefficient;
+    strictly descending graded-lex terms."""
+    assert list(p.vars) == sorted(set(p.vars))
+    for exps, c in p.terms:
+        assert len(exps) == len(p.vars)
+        assert isinstance(c, Fraction) and c != 0
+    for i in range(len(p.vars)):
+        assert any(exps[i] != 0 for exps, _ in p.terms)
+    keys = [(sum(exps), exps) for exps, _ in p.terms]
+    assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+@given(small_poly(), small_poly(("q", "t")), st.integers(0, 3))
+@settings(max_examples=60)
+def test_results_are_canonical(p, r, k):
+    results = [p + r, p - r, r - p, p * r, p ** k, r ** k,
+               substitute(p, "a", t ** 2 * q ** -1),
+               substitute(p * q ** 4, "q", r),
+               parse_poly(serialize(p * r))]
+    if not r.is_zero():
+        results.append(exact_div(p * r, r))
+    for result in results:
+        _assert_canonical(result)
 
 
 def test_rational_pair_equality():
