@@ -8,6 +8,9 @@ differential.
 
 A differential is held once, as integer columns over one positive denominator;
 checks and elimination run on those integers (scaling keeps kernels and ranks).
+The spectral sequence of a filtration is read off one reduction per block of
+d: each source whose reduced image is nonzero pairs with the target at its
+pivot, and the pair lives on the pages up to their difference in level.
 
 The Euler characteristic of such a complex lives in the ring of integers of
 the cyclotomic field generated by e^(pi*i/n): a generator of degree alpha
@@ -201,9 +204,11 @@ def _eliminate(a: list[int], b: list[int], c: int) -> list[int]:
 class Echelon:
     """Row echelon form of rational rows, kept over the integers.
 
-    ``add`` scales a row by the lcm of its denominators and reduces it against
+    ``add`` scales a row with a ``Fraction`` entry by the lcm of its
+    denominators (an all-int row is taken as it is) and reduces it against
     the stored rows with fraction-free integer row operations (as in Bareiss
-    1968), dividing out each row's content to keep entries small.  Fractions
+    1968), dividing out each row's content to keep entries small; ``place``
+    does the same and returns the new pivot.  Fractions
     appear only where ``rref`` and ``kernel`` divide by the pivots.  Rows stay
     sorted by pivot column and span exactly the rows added.
     """
@@ -216,19 +221,27 @@ class Echelon:
 
     def add(self, row) -> bool:
         """Add a row; True when it is independent of the rows added before."""
-        den = lcm(*(x.denominator for x in row))
-        v = [x.numerator * (den // x.denominator) for x in row]
+        return self.place(row) is not None
+
+    def place(self, row) -> int | None:
+        """Add a row; the column of its new pivot, or None when it depends on
+        the rows added before.  An all-int row is reduced as it is."""
+        if all(type(x) is int for x in row):
+            v = row
+        else:
+            den = lcm(*(x.denominator for x in row))
+            v = [x.numerator * (den // x.denominator) for x in row]
         for r, pc in zip(self.rows, self.pivots):
             if v[pc]:
                 v = _eliminate(v, r, pc)
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
-            return False
+            return None
         g = gcd(*v)
         k = bisect(self.pivots, lead)
         self.rows.insert(k, [x // g for x in v])
         self.pivots.insert(k, lead)
-        return True
+        return lead
 
     def reduced(self) -> list[list[int]]:
         """Integer rows that are zero in every other row's pivot column: the
@@ -519,62 +532,37 @@ class SpectralSequence:
 
 
 def spectral_sequence(c: FracComplex) -> SpectralSequence:
-    """Pages of the filtration spectral sequence, by exact linear algebra.
+    """Pages of the filtration spectral sequence, from one filtered reduction
+    per block of d (the persistence pairing).
 
-    Page dimensions are computed from cycle spaces
-    Z_r^p = {x in F_p : dx in F_(p+r)} via
-    dim E_r^p = dim Z_r^p - dim(Z_(r-1)^(p+1) + d Z_(r-1)^(p-r+1)),
-    degree by degree.  Finite filtrations stabilize after their width.
+    In the block from degree u to degree u + n, targets are ordered by
+    (level, index) ascending and the sources are added to one ``Echelon`` in
+    the reverse order, (level, index) descending, so that every generator has
+    one position as a row and as a column.  An independent source x pairs
+    with the target y at its new pivot; the pair lives on the pages
+    r <= level(y) - level(x), and d_r with r = level(y) - level(x) kills it.
+    An unpaired generator lives on every page.  Page 0 is the associated
+    graded and E_infinity is page width + 1.
     """
-    if c.filtration is None:
-        c = _complex(c.n, c.degrees, c.names, (0,) * c.dim, c.cols, c.den)
-    levels = sorted(set(c.filtration)) or [0]
-    pmin, pmax = levels[0], levels[-1]
-    width = pmax - pmin
-    by_degree = _by_degree(c)
-    z_memo: dict[tuple[int, int, int], list[list[int]]] = {}
-
-    def z_space(r: int, p: int, u: int) -> list[list[int]]:
-        """Basis of Z_r^p in degree u, as vectors over the gens at degree u."""
-        key = (r, p, u)
-        if key not in z_memo:
-            allcols = by_degree.get(u, [])
-            pos = [k for k, j in enumerate(allcols) if c.filtration[j] >= p]
-            # constraint: d x must vanish on targets with filtration < p + r
-            targets = [i for i in by_degree.get(u + c.n, []) if c.filtration[i] < p + r]
-            kern = _cycles(c, targets, [allcols[k] for k in pos])
-            z_memo[key] = [_scatter(w, pos, len(allcols)) for _, w in kern]
-        return z_memo[key]
-
-    def d_image(space: list[list[int]], u_src: int, u_dst: int) -> list[list[int]]:
-        """Push vectors at degree u_src through d, landing at degree u_dst."""
-        src, dst = by_degree.get(u_src, []), by_degree.get(u_dst, [])
-        images = (_apply(c.cols, {src[k]: x for k, x in enumerate(v) if x}) for v in space)
-        return [[img.get(i, 0) for i in dst] for img in images]
-
-    degrees = sorted(by_degree)
-    pages: list[dict[tuple[int, int], int]] = []
-    # page 0: associated graded
-    page0: dict[tuple[int, int], int] = {}
-    for u in degrees:
-        for i in by_degree[u]:
-            key = (c.filtration[i], u)
-            page0[key] = page0.get(key, 0) + 1
-    pages.append(page0)
+    filtration = c.filtration or (0,) * c.dim
+    width = max(filtration) - min(filtration) if filtration else 0
     last = width + 1
-    for r in range(1, last + 1):
-        page: dict[tuple[int, int], int] = {}
-        for u in degrees:
-            for p in levels:
-                zr = z_space(r, p, u)
-                if not zr:
-                    continue
-                den = z_space(r - 1, p + 1, u) + \
-                    d_image(z_space(r - 1, p - r + 1, u - c.n), u - c.n, u)
-                dim = len(zr) - rank(den)
-                if dim:
-                    page[(p, u)] = dim
-        pages.append(page)
+    order = lambda i: (filtration[i], i)
+    lives = [last] * c.dim  # the last page each generator lives on
+    by_degree = _by_degree(c)
+    for u, cols in by_degree.items():
+        rows = sorted(by_degree.get(u + c.n, ()), key=order)
+        ech = Echelon()
+        for x in sorted(cols, key=order, reverse=True):
+            col = c.cols[x]
+            k = ech.place([col.get(i, 0) for i in rows])
+            if k is not None:
+                y = rows[k]
+                lives[x] = lives[y] = filtration[y] - filtration[x]
+    pages: list[dict[tuple[int, int], int]] = [{} for _ in range(last + 1)]
+    for key, life in zip(zip(filtration, c.degrees), lives):
+        for page in pages[:life + 1]:
+            page[key] = page.get(key, 0) + 1
     infinity = pages[last]
     stab = next(r for r in range(last + 1) if pages[r] == infinity)
     return SpectralSequence(c.n, tuple(pages), stab, infinity)
@@ -622,7 +610,7 @@ def complex_to_json(c: FracComplex) -> str:
 def complex_from_json(text: str) -> FracComplex:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer literal over int()'s digit limit
         raise ComplexError("shape", f"bad JSON: {e}")
     try:
         n = data["n"]

@@ -265,6 +265,6 @@ def table_from_json(text: str) -> DimTable:
         half = data["half"]
         entries = [(tuple(_deg_from_json(x) for x in e["deg"]), e["dim"])
                    for e in data["entries"]]
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:  # also over-long ints
         raise TableError(f"bad table JSON: {e}")
     return make_table(labels, half, entries)

@@ -266,7 +266,10 @@ def parse_pd(text: str) -> LinkDiagram:
     if not m:
         raise DiagramError(f"not a PD expression: {text!r}")
     inner = m.group(1).strip()
-    quads = [tuple(map(int, g)) for g in _PD_X.findall(inner)]
+    try:
+        quads = [tuple(map(int, g)) for g in _PD_X.findall(inner)]
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise DiagramError("a PD label has too many digits") from None
     leftover = _PD_X.sub("", inner).replace(",", "").strip()
     if leftover or (not quads and inner):
         raise DiagramError(f"malformed PD body: {inner!r}")
@@ -356,7 +359,11 @@ def parse_braid(text: str) -> LinkDiagram:
     m = re.fullmatch(r"\s*BR\[\s*(\d+)\s*;([^\]]*)\]\s*", text)
     if not m:
         raise DiagramError(f"not a braid expression: {text!r}")
-    strands = int(m.group(1))
+    digits = m.group(1).lstrip("0") or "0"
+    if len(digits) > len(str(MAX_STRANDS)):  # before int(), which refuses 4,300 digits
+        raise ResourceBoundError(f"a {len(digits)}-digit strand count exceeds the bound "
+                                 f"{MAX_STRANDS}")
+    strands = int(digits)
     body = m.group(2).replace(",", " ").split()
     try:
         word = [int(w) for w in body]

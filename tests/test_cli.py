@@ -36,6 +36,13 @@ def test_poly_invalid_pd(capsys):
     assert "error" in err
 
 
+def test_poly_pd_label_of_5000_digits_is_a_parse_error(capsys):
+    code, out, err = run_cli(["poly", f"PD[X[{'1' * 5000},2,3,4]]"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "digits" in err
+
+
 def test_poly_resource_bound(capsys, monkeypatch):
     monkeypatch.setenv("ROOTCHI_MAX_CROSSINGS", "1")
     code, _, err = run_cli(["poly", "BR[2; 1 1 1]"], capsys)
@@ -43,7 +50,8 @@ def test_poly_resource_bound(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("link", [f"BR[{MAX_STRANDS + 1}; 1]",
-                                  " ".join(["U"] * (MAX_STRANDS + 1))])
+                                  " ".join(["U"] * (MAX_STRANDS + 1)),
+                                  pytest.param(f"BR[{'9' * 5000}; 1]", id="BR[5000 nines; 1]")])
 def test_poly_strands_and_unknots_above_bound_are_a_resource_bound(capsys, link):
     code, out, err = run_cli(["poly", link], capsys)
     assert code == 3

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootchi import frcomplex
 from rootchi.cyclo import CycloNum, root
 from rootchi.frcomplex import (ComplexError, Echelon, build, build_module,
                                chi_of_dims, complex_from_json, complex_to_json,
                                cone, euler_char, graded_homology_dims, homology,
                                kernel, koszul_tensor, rank, shift,
                                spectral_sequence, unknot_hfkn)
-from rootchi.synth import random_chain_map, random_complex
+from rootchi.synth import random_chain_map, random_complex, random_graded_module
 
 F = Fraction
 
@@ -277,3 +278,95 @@ def test_elimination_kernel_matches_reference(mat):
     assert basis == reference_kernel(rows, ncols)
     assert all(type(x) is F for v in basis for x in v)
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for v in basis for row in rows)
+
+
+# -- the persistence pairing against the cycle spaces Z_r^p ------------------------
+
+
+def reference_pages(c):
+    """Pages of the filtration spectral sequence from the cycle spaces
+    Z_r^p = {x in F_p : dx in F_(p+r)}, degree by degree:
+    dim E_r^p = dim Z_r^p - dim(Z_(r-1)^(p+1) + d Z_(r-1)^(p-r+1))."""
+    filt = c.filtration or (0,) * c.dim
+    levels = sorted(set(filt)) or [0]
+    d = c.diff
+
+    def z(r, p, u):
+        """Basis of Z_r^p in degree u, as vectors over all generators."""
+        src = [j for j in range(c.dim) if c.degrees[j] == u and filt[j] >= p]
+        tgt = [i for i in range(c.dim) if c.degrees[i] == u + c.n and filt[i] < p + r]
+        basis = []
+        for w in reference_kernel([[d[i][j] for j in src] for i in tgt], len(src)):
+            v = [F(0)] * c.dim
+            for j, x in zip(src, w):
+                v[j] = x
+            basis.append(v)
+        return basis
+
+    def image(space):
+        return [[sum(d[i][j] * x for j, x in enumerate(v)) for i in range(c.dim)]
+                for v in space]
+
+    pages = []
+    for r in range(levels[-1] - levels[0] + 2):
+        page = {}
+        for u in sorted(set(c.degrees)):
+            for p in levels:
+                quotient = z(r - 1, p + 1, u) + image(z(r - 1, p - r + 1, u - c.n))
+                dim = len(z(r, p, u)) - len(reference_rref(quotient)[1])
+                if dim:
+                    page[(p, u)] = dim
+        pages.append(page)
+    return pages
+
+
+@st.composite
+def _filtered_complexes(draw):
+    """Seeded synth complexes (tied levels, levels spread and moved, some
+    conjugated to Fraction entries), Koszul complexes and empty complexes."""
+    kind = draw(st.sampled_from(["synth", "synth", "rational", "koszul", "empty"]))
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind == "empty":
+        return build(n, [], [], filtration=draw(st.sampled_from([None, []])))
+    if kind == "koszul":
+        return koszul_tensor(random_graded_module(rng, n, draw(st.integers(0, 3)), max_dim=4))
+    c = random_complex(rng, n, max_dim=9, filtered=draw(st.booleans()))
+    rows = [list(row) for row in c.diff]
+    if kind == "rational":
+        g = rng.randrange(c.dim)
+        s = F(draw(st.sampled_from([2, -3, 5])), draw(st.sampled_from([1, 7])))
+        rows = [[x * (s if i == g else 1) / (s if j == g else 1) for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    filt = c.filtration
+    if filt is not None:
+        a, b = draw(st.integers(1, 2)), draw(st.integers(-2, 2))
+        filt = [a * p + b for p in filt]
+    return build(n, c.degrees, rows, filtration=filt)
+
+
+@given(_filtered_complexes())
+@settings(max_examples=150, deadline=None)
+def test_spectral_sequence_matches_reference_pages(c):
+    want = reference_pages(c)
+    ss = spectral_sequence(c)
+    assert ss.pages == tuple(want)
+    assert ss.infinity == want[-1]
+    assert ss.stabilization == next(r for r, page in enumerate(want) if page == want[-1])
+
+
+def test_spectral_sequence_never_builds_a_kernel(monkeypatch):
+    calls = []
+    null_space = frcomplex._null_space
+    monkeypatch.setattr(frcomplex, "_null_space",
+                        lambda *args: calls.append(1) or null_space(*args))
+    # d(x0) = x2 + x3 and d(x1) = x3: d_0 pairs x1 with x3, then d_1 pairs x0 with x2
+    c = build(1, [0, 0, 1, 1], [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0]],
+              filtration=[0, 1, 1, 1])
+    ss = spectral_sequence(c)
+    assert ss.pages[0] == {(0, 0): 1, (1, 0): 1, (1, 1): 2}
+    assert ss.pages[1] == {(0, 0): 1, (1, 1): 1}
+    assert ss.pages[2] == {}
+    assert calls == []
+    assert graded_homology_dims(c) == ss.infinity
+    assert calls

@@ -181,3 +181,12 @@ def test_bool_degree_in_json_is_refused():
 def test_table_json_round_trip():
     tab = make_table(("gr_T", "gr_M"), (True, False), {(F(1, 2), -1): 2, (0, 0): 1})
     assert table_from_json(table_to_json(tab)) == tab
+
+
+@pytest.mark.parametrize("degree", ["9" * 5000, '"x"', '"1/0"'],
+                         ids=["5000 digits", "not a number", "zero denominator"])
+def test_unreadable_degree_in_json_is_a_table_error(degree):
+    text = json.dumps({"labels": ["a", "b"], "half": [False, False],
+                       "entries": [{"deg": ["<degree>", 0], "dim": 1}]})
+    with pytest.raises(TableError):
+        table_from_json(text.replace('"<degree>"', degree))
