@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -41,7 +42,14 @@ def _resolve_link(spec: str) -> LinkDiagram:
         raise DiagramError(f"not a link expression or bundled corpus name: {spec!r}")
 
 
+def _check_n_bound(n: int) -> None:
+    if n > MAX_N:
+        raise ResourceBoundError(f"n = {n} exceeds the bound {MAX_N}")
+
+
 def cmd_poly(args) -> int:
+    if args.invariant == "sln":
+        _check_n_bound(args.n)
     d = _resolve_link(args.link)
     p = homfly_unreduced(d)
     if args.invariant == "alexander":
@@ -69,6 +77,7 @@ def _verify_one(payload) -> list[VerifyReport]:
 
 def cmd_verify(args) -> int:
     crossing_bound()  # a bad setting is a usage error before any work
+    _check_n_bound(args.n_range[-1])
     if args.corpus:
         try:
             entries = corpus_mod.load_corpus_file(args.corpus)
@@ -79,9 +88,11 @@ def cmd_verify(args) -> int:
         entries = corpus_mod.bundled_corpus()
     n_values = list(args.n_range)
     payloads = [(e.name, e.source, e.expected, n_values) for e in entries]
-    if args.jobs > 1 and payloads:
+    # the pool starts every worker at once, so never more than links or cores
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_verify_one, payloads))
         except ResourceBoundError:
             raise
@@ -121,8 +132,7 @@ def _fmt_deg(units: int, n: int) -> str:
 
 def cmd_complex(args) -> int:
     if args.action == "unknot-hfkn":
-        if args.n > MAX_N:
-            raise ResourceBoundError(f"n = {args.n} exceeds the bound {MAX_N}")
+        _check_n_bound(args.n)
         print(complex_to_json(unknot_hfkn(args.n)))
         return EXIT_OK
     try:

@@ -6,6 +6,14 @@ primitive m-th root of unity e^(2*pi*i/m).  With m = 2n this realizes
 e^(pi*i/n) as the basis root, which is the scalar attached to a downward
 degree shift of 1/n.
 
+One power table per order does every reduction modulo Phi_m: the 2n powers
+of e^(pi*i/n) in Q(zeta_2n), each the one before times x with x^phi(2n)
+replaced through the monic Phi_2n.  A sum of c * x^k is read off it by
+``root_sum``, and so are products (the convolution of the two vectors) and
+embeddings into a larger order (x -> x^step).  ``CycloNum.inverse`` solves
+self * b = 1 as a linear system over Q, through the exact elimination
+kernel of :mod:`rootchi.frcomplex`.
+
 Everything is exact; the only complex floating point in this module lives in
 :meth:`CycloNum.to_complex`, which exists for human-readable reports and is
 never used in equality logic.
@@ -24,74 +32,30 @@ from .laurent import LaurentPoly, PolyError
 Rat = int | Fraction
 
 
-# -- dense rational polynomial helpers (constant term first) -----------------
-
-
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b):
-        c = rem[-1] / b[-1]
-        k = len(rem) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            rem[k + i] -= c * y
-        _ptrim(rem)
-    return _ptrim(q), _ptrim(rem)
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> tuple[Fraction, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, constant term first."""
+def cyclotomic_poly(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial, constant term first:
+    x^m - 1 divided in integers by the monic Phi_d of each proper divisor d."""
     if m < 1:
         raise ValueError("order must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]  # x^m - 1
+    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            q, r = _pdivmod(num, list(cyclotomic_poly(d)))
-            if r:
+            div = cyclotomic_poly(d)
+            deg = len(div) - 1
+            quot = [0] * (len(num) - deg)
+            for k in range(len(quot) - 1, -1, -1):
+                c = quot[k] = num[k + deg]
+                for i, y in enumerate(div):
+                    num[k + i] -= c * y
+            if any(num):
                 raise AssertionError("cyclotomic division must be exact")
-            num = q
+            num = quot
     return tuple(num)
 
 
 def _phi(m: int) -> int:
     return len(cyclotomic_poly(m)) - 1
-
-
-def _reduce(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    _, r = _pdivmod(list(coeffs), list(cyclotomic_poly(m)))
-    r = r + [Fraction(0)] * (_phi(m) - len(r))
-    return tuple(r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +93,7 @@ class CycloNum:
         if m % self.order:
             raise ValueError(f"{m} is not a multiple of order {self.order}")
         step = m // self.order
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                raw[i * step] = c
-        return CycloNum(m, _reduce(raw, m))
+        return root_sum(m // 2, ((i * step, c) for i, c in enumerate(self.coeffs) if c))
 
     @staticmethod
     def _common(a: "CycloNum", b: "CycloNum") -> tuple["CycloNum", "CycloNum", int]:
@@ -188,8 +148,9 @@ class CycloNum:
         if other is NotImplemented:
             return NotImplemented
         a, b, m = CycloNum._common(self, other)
-        raw = _pmul(list(a.coeffs), list(b.coeffs))
-        return CycloNum(m, _reduce(raw, m))
+        ys = [(j, y) for j, y in enumerate(b.coeffs) if y]
+        return root_sum(m // 2, ((i + j, x * y)
+                                 for i, x in enumerate(a.coeffs) if x for j, y in ys))
 
     __rmul__ = __mul__
 
@@ -208,21 +169,22 @@ class CycloNum:
         return out
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the b with self * b = 1, read off the kernel
+        of the multiplication matrix (column j is self * x^j) with -1 appended
+        as a last column in the constant-term row."""
+        # frcomplex imports this module, so its kernel is imported here
+        from .frcomplex import kernel
+
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # Phi_m is irreducible, so gcd(self, Phi_m) is a nonzero constant;
-        # track the Bezout coefficient s with s*self = gcd (mod Phi_m).
-        r0, r1 = list(cyclotomic_poly(self.order)), _ptrim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        if len(r0) != 1:
-            raise AssertionError("cyclotomic polynomial must be irreducible over Q")
-        inv = [c / r0[0] for c in s0]
-        return CycloNum(self.order, _reduce(inv, self.order))
+        phi, x = _phi(self.order), root(self.order // 2, 1)
+        cols, col = [], self
+        for _ in range(phi):
+            cols.append(col.coeffs)
+            col = col * x
+        rows = [[c[i] for c in cols] + [-1 if i == 0 else 0] for i in range(phi)]
+        (b,) = kernel(rows, phi + 1)  # self is a unit, so b ends in 1
+        return CycloNum(self.order, tuple(b[:phi]))
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -262,11 +224,19 @@ def _coerce(x):
 
 @lru_cache(maxsize=None)
 def _powers(n: int) -> tuple[CycloNum, ...]:
-    """e^(pi*i*k/n) for k = 0 .. 2n - 1, each reduced once: 2n entries per n."""
+    """e^(pi*i*k/n) for k = 0 .. 2n - 1 in Q(zeta_2n): each power is the one
+    before times x, with x^phi replaced through the monic Phi_2n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tuple(CycloNum(2 * n, _reduce([Fraction(0)] * k + [Fraction(1)], 2 * n))
-                 for k in range(2 * n))
+    phi_poly = cyclotomic_poly(2 * n)
+    vec = [1] + [0] * (len(phi_poly) - 2)
+    out = []
+    for _ in range(2 * n):
+        out.append(CycloNum(2 * n, tuple(map(Fraction, vec))))
+        top, vec = vec[-1], [0] + vec[:-1]
+        if top:
+            vec = [v - top * c for v, c in zip(vec, phi_poly)]
+    return tuple(out)
 
 
 def root(n: int, k: int) -> CycloNum:
@@ -277,15 +247,16 @@ def root(n: int, k: int) -> CycloNum:
 def root_sum(n: int, terms) -> CycloNum:
     """Sum of c * e^(pi*i*k/n) over (k, c) pairs, in Q(zeta_2n): exponents are
     bucketed mod 2n, then the power table is combined once."""
-    powers = _powers(n)
+    powers, phi = _powers(n), _phi(2 * n)
     weights = [0] * (2 * n)
     for k, c in terms:
         weights[k % (2 * n)] += c
-    vec = [Fraction(0)] * _phi(2 * n)
-    for w, power in zip(weights, powers):
+    vec = [Fraction(w) for w in weights[:phi]]  # x^k with k < phi is a basis vector
+    for w, power in zip(weights[phi:], powers[phi:]):
         if w:
             for i, x in enumerate(power.coeffs):
-                vec[i] += w * x
+                if x:
+                    vec[i] += w * x
     return CycloNum(2 * n, tuple(vec))
 
 

@@ -35,7 +35,10 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Columns = tuple[dict[int, int], ...]   # cols[j][i]: nonzero integer entry (i, j)
 _ZERO = Fraction(0)
 _EXACT = (int, Fraction)
-MAX_N = 200  # largest n read from JSON: euler_char's cost grows faster than n^2
+# largest n read from JSON or the command line: the cached power table of
+# Q(zeta_2n) holds 2n * phi(2n) Fractions, so its time and memory grow as n^2
+MAX_N = 200
+MAX_FILTRATION_WIDTH = 1000  # spectral_sequence keeps width + 2 pages
 _MAX_EXPONENT = 400  # Fraction expands "1e-k" in full; finite floats need 324
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
@@ -627,6 +630,8 @@ def complex_from_json(text: str) -> FracComplex:
     c = build(n, degrees, rows, filtration=filtration, names=names)
     if c.n > MAX_N:
         raise ResourceBoundError(f"n = {c.n} exceeds the bound {MAX_N}")
+    if c.filtration and max(c.filtration) - min(c.filtration) > MAX_FILTRATION_WIDTH:
+        raise ResourceBoundError(f"filtration width exceeds the bound {MAX_FILTRATION_WIDTH}")
     return c
 
 

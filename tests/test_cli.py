@@ -3,12 +3,15 @@ import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from rootchi.cli import main
-from rootchi.frcomplex import MAX_N, complex_from_json, complex_to_json, unknot_hfkn
+from rootchi.frcomplex import (MAX_FILTRATION_WIDTH, MAX_N, complex_from_json,
+                               complex_to_json, unknot_hfkn)
 from rootchi.linkdiag import MAX_STRANDS
+from rootchi.skein import ResourceBoundError
 
 
 def run_cli(args, capsys):
@@ -117,11 +120,13 @@ def test_verify_jobs_output_matches_serial(tmp_path, capsys):
     assert strip(d1) == strip(d2)
 
 
-def _failing_pool(error):
-    """A stand-in for ProcessPoolExecutor whose map raises ``error``."""
-    class FailingPool:
+def _stand_in_pool(error=None, seen=None):
+    """A stand-in for ProcessPoolExecutor: its map raises ``error``, or runs
+    serially when there is none; each pool's max_workers goes into ``seen``."""
+    class StandInPool:
         def __init__(self, max_workers):
-            pass
+            if seen is not None:
+                seen.append(max_workers)
 
         def __enter__(self):
             return self
@@ -130,9 +135,11 @@ def _failing_pool(error):
             return False
 
         def map(self, fn, items):
-            raise error
+            if error is not None:
+                raise error
+            return map(fn, items)
 
-    return FailingPool
+    return StandInPool
 
 
 def test_verify_jobs_broken_pool_warns_and_runs_serially(tmp_path, capsys, monkeypatch):
@@ -144,7 +151,8 @@ def test_verify_jobs_broken_pool_warns_and_runs_serially(tmp_path, capsys, monke
     args = ["verify", "--corpus", str(corpus), "--n-range", "1..2", "--report"]
     code1, out1, err1 = run_cli(args + [str(r1)], capsys)
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor",
-                        _failing_pool(BrokenProcessPool("a worker died")))
+                        _stand_in_pool(BrokenProcessPool("a worker died")))
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)  # the pool needs 2 cores
     code2, out2, err2 = run_cli(args + [str(r2), "--jobs", "2"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2 and err1 == ""
@@ -155,15 +163,53 @@ def test_verify_jobs_broken_pool_warns_and_runs_serially(tmp_path, capsys, monke
 
 def test_verify_jobs_resource_bound_is_not_a_pool_failure(tmp_path, capsys, monkeypatch):
     import rootchi.cli as cli_mod
-    from rootchi.skein import ResourceBoundError
 
     corpus = tmp_path / "c.txt"
     corpus.write_text("a: BR[2; 1 1]\nb: BR[2; -1 -1 -1]\n")
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor",
-                        _failing_pool(ResourceBoundError("20 crossings exceeds the bound 14")))
+                        _stand_in_pool(ResourceBoundError("20 crossings exceeds the bound 14")))
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)  # the pool needs 2 cores
     code, _, err = run_cli(["verify", "--corpus", str(corpus), "--jobs", "2"], capsys)
     assert code == 3
     assert "resource bound" in err and "warning" not in err
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (100000, 64, 2),   # never more workers than links
+    (100000, 1, None),  # one core: serial, no pool
+    (2, 64, 2),
+    (3, 2, 2),         # never more workers than cores
+])
+def test_verify_jobs_pool_is_capped(tmp_path, capsys, jobs, cpus, workers):
+    seen = []
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a: BR[2; 1 1]\nb: BR[2; -1 -1 -1]\n")
+    args = ["verify", "--corpus", str(corpus), "--n-range", "1..2"]
+    _, serial, _ = run_cli(args, capsys)
+    with mock.patch("rootchi.cli.ProcessPoolExecutor", _stand_in_pool(seen=seen)), \
+            mock.patch("rootchi.cli.os.cpu_count", return_value=cpus):
+        code, out, _ = run_cli(args + ["--jobs", str(jobs)], capsys)
+    assert code == 0 and out == serial
+    assert seen == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("n, code", [(MAX_N, 0), (MAX_N + 1, 3)])
+def test_poly_sln_n_bound(capsys, n, code):
+    got, out, err = run_cli(["poly", "BR[2; 1 1 1]", "--invariant", "sln", "--n", str(n)],
+                            capsys)
+    assert got == code
+    assert (out == "") == (code == 3)
+    assert err.startswith("resource bound:") == (code == 3)
+
+
+@pytest.mark.parametrize("n, code", [(MAX_N, 0), (MAX_N + 1, 3)])
+def test_verify_n_range_bound(tmp_path, capsys, n, code):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("tref: BR[2; 1 1 1]\n")
+    got, out, err = run_cli(["verify", "--corpus", str(corpus), "--n-range", f"{n}..{n}"],
+                            capsys)
+    assert got == code
+    assert err.startswith("resource bound:") == (code == 3)
 
 
 def test_complex_chi_single_generator(tmp_path, capsys):
@@ -257,6 +303,25 @@ def test_complex_huge_exponent_entry_is_a_shape_error(tmp_path, capsys):
 ])
 def test_complex_float_entries_keep_their_decimal_value(entry, value):
     assert complex_from_json(_two_generator_json(entry)).diff[1][0] == value
+
+
+def _filtered_json(top: int) -> str:
+    return json.dumps({"n": 1, "generators": [{"name": "x", "deg_times_n": 0, "filt": 0},
+                                              {"name": "y", "deg_times_n": 1, "filt": top}],
+                       "differential": [[0, 0], [1, 0]]})
+
+
+def test_complex_filtration_width_bound(tmp_path, capsys):
+    assert complex_from_json(_filtered_json(MAX_FILTRATION_WIDTH)).filtration[1] \
+        == MAX_FILTRATION_WIDTH
+    with pytest.raises(ResourceBoundError):
+        complex_from_json(_filtered_json(MAX_FILTRATION_WIDTH + 1))
+    f = tmp_path / "w.json"
+    f.write_text(_filtered_json(10 ** 9))
+    code, out, err = run_cli(["complex", "ss", str(f)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource bound:")
 
 
 def test_complex_ss_two_level(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -113,3 +115,93 @@ def test_cyclo_arith_entry_point():
     assert cyclo_arith(root(4, 1), root(2, 1), "eq") is False
     with pytest.raises(ValueError):
         cyclo_arith(root(2, 1), root(2, 1), "div")
+
+
+# -- the power table against a plain long division mod Phi_m ----------------------
+
+
+def _reference_reduce(raw, m):
+    """sum raw[k] x^k mod Phi_m by long division, as a vector of length phi(m)."""
+    divisor = cyclotomic_poly(m)
+    deg = len(divisor) - 1
+    rem = list(raw) + [0] * max(0, deg - len(raw))
+    for k in range(len(rem) - 1, deg - 1, -1):
+        c = rem[k] / divisor[-1]
+        if c:
+            for i, y in enumerate(divisor):
+                rem[k - deg + i] -= c * y
+    return tuple(rem[:deg])
+
+
+def _convolve(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _embedded(coeffs, step):
+    """x -> x^step on a coefficient vector, before any reduction."""
+    out = [Fraction(0)] * ((len(coeffs) - 1) * step + 1)
+    for i, c in enumerate(coeffs):
+        out[i * step] = c
+    return out
+
+
+def _seeded(rng, order):
+    phi = len(cyclotomic_poly(order)) - 1
+    return CycloNum(order, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                 for _ in range(phi)))
+
+
+def test_root_matches_long_division():
+    for n in range(1, 61):
+        for k in range(2 * n):
+            want = _reference_reduce([0] * k + [1], 2 * n)
+            assert root(n, k).coeffs == want, (n, k)
+
+
+def test_mixed_order_products_match_long_division():
+    rng = random.Random(20260418)
+    for n in range(1, 13):
+        for _ in range(4):
+            a, b = _seeded(rng, 2 * n), _seeded(rng, 4 * n)
+            want = _reference_reduce(_convolve(_embedded(a.coeffs, 2), b.coeffs), 4 * n)
+            assert (a * b).order == 4 * n
+            assert (a * b).coeffs == want and (b * a).coeffs == want, n
+            square = _reference_reduce(_convolve(a.coeffs, a.coeffs), 2 * n)
+            assert (a * a).coeffs == square, n
+
+
+def test_to_order_matches_long_division():
+    rng = random.Random(7)
+    for n in range(1, 13):
+        a = _seeded(rng, 2 * n)
+        for step in (1, 2, 3, 5):
+            want = _reference_reduce(_embedded(a.coeffs, step), 2 * n * step)
+            assert a.to_order(2 * n * step).coeffs == want, (n, step)
+
+
+@pytest.mark.parametrize("order", [2, 24, 400])
+def test_inverse_at_small_and_large_orders(order):
+    rng = random.Random(order)
+    # six seeded terms: a dense element of order 400 has an inverse with
+    # coefficients of hundreds of digits, which only slows the test down
+    x = CycloNum.from_rational(0, order)
+    while x.is_zero():
+        x = sum((root(order // 2, rng.randrange(order)) * Fraction(rng.randint(-5, 5),
+                                                                    rng.randint(1, 4))
+                 for _ in range(6)), x)
+    inv = x.inverse()
+    assert x * inv == 1
+    one_vec = _reference_reduce(_convolve(x.coeffs, inv.coeffs), order)
+    assert one_vec == (1,) + (0,) * (len(one_vec) - 1)
+
+
+def test_cyclotomic_polys_are_integral_of_degree_phi():
+    for m in range(1, 401):
+        coeffs = cyclotomic_poly(m)
+        totient = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+        assert all(type(c) is int for c in coeffs), m
+        assert len(coeffs) - 1 == totient and coeffs[-1] == 1, m
