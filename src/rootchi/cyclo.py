@@ -12,7 +12,11 @@ replaced through the monic Phi_2n.  A sum of c * x^k is read off it by
 ``root_sum``, and so are products (the convolution of the two vectors) and
 embeddings into a larger order (x -> x^step).  ``CycloNum.inverse`` solves
 self * b = 1 as a linear system over Q, through the exact elimination
-kernel of :mod:`rootchi.frcomplex`.
+kernel of :mod:`rootchi.frcomplex`.  The tables hold integers, and every
+coefficient of a value is an ``int`` when it is integral and a ``Fraction``
+only when it is not, so products and sums of integral values stay in ``int``
+arithmetic.  The tables of the ``_POWER_TABLES`` most recently used orders
+are kept.
 
 Everything is exact; the only complex floating point in this module lives in
 :meth:`CycloNum.to_complex`, which exists for human-readable reports and is
@@ -30,6 +34,10 @@ from math import gcd
 from .laurent import LaurentPoly, PolyError
 
 Rat = int | Fraction
+# power tables kept: corpus verify for n <= 6 reads 8 and --n-range 1..12
+# reads 17; one table of order 800 (n = MAX_N) takes about 2.2 MB, so the
+# cache stays under 70 MB where keeping every table of a 1..200 run did not
+_POWER_TABLES = 32
 
 
 @lru_cache(maxsize=None)
@@ -65,10 +73,11 @@ class CycloNum:
     ``coeffs`` has length phi(order) and gives the canonical representative
     modulo the order-th cyclotomic polynomial, so equality of elements of the
     same order is vector equality; mixed orders embed into the lcm first.
+    An integral coefficient is an ``int``, any other a ``Fraction``.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rat, ...]
 
     def __post_init__(self):
         if self.order < 2 or self.order % 2:
@@ -80,8 +89,8 @@ class CycloNum:
 
     @staticmethod
     def from_rational(c: Rat, order: int = 2) -> "CycloNum":
-        vec = [Fraction(0)] * _phi(order)
-        vec[0] = Fraction(c)
+        vec = [0] * _phi(order)
+        vec[0] = _canonical(Fraction(c))
         return CycloNum(order, tuple(vec))
 
     # -- order embedding -----------------------------------------------------
@@ -112,7 +121,7 @@ class CycloNum:
         """True when the element lies in Z[zeta] (integer basis coefficients)."""
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> Rat:
         if not self.is_rational():
             raise ValueError("element is not rational")
         return self.coeffs[0]
@@ -124,7 +133,7 @@ class CycloNum:
         if other is NotImplemented:
             return NotImplemented
         a, b, m = CycloNum._common(self, other)
-        return CycloNum(m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycloNum(m, tuple(_canonical(x + y) for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -184,7 +193,7 @@ class CycloNum:
             col = col * x
         rows = [[c[i] for c in cols] + [-1 if i == 0 else 0] for i in range(phi)]
         (b,) = kernel(rows, phi + 1)  # self is a unit, so b ends in 1
-        return CycloNum(self.order, tuple(b[:phi]))
+        return CycloNum(self.order, tuple(map(_canonical, b[:phi])))
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -222,7 +231,12 @@ def _coerce(x):
     return NotImplemented
 
 
-@lru_cache(maxsize=None)
+def _canonical(c: Rat) -> Rat:
+    """An integral coefficient as an ``int``; any other as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
+@lru_cache(maxsize=_POWER_TABLES)
 def _powers(n: int) -> tuple[CycloNum, ...]:
     """e^(pi*i*k/n) for k = 0 .. 2n - 1 in Q(zeta_2n): each power is the one
     before times x, with x^phi replaced through the monic Phi_2n."""
@@ -232,7 +246,7 @@ def _powers(n: int) -> tuple[CycloNum, ...]:
     vec = [1] + [0] * (len(phi_poly) - 2)
     out = []
     for _ in range(2 * n):
-        out.append(CycloNum(2 * n, tuple(map(Fraction, vec))))
+        out.append(CycloNum(2 * n, tuple(vec)))
         top, vec = vec[-1], [0] + vec[:-1]
         if top:
             vec = [v - top * c for v, c in zip(vec, phi_poly)]
@@ -250,14 +264,14 @@ def root_sum(n: int, terms) -> CycloNum:
     powers, phi = _powers(n), _phi(2 * n)
     weights = [0] * (2 * n)
     for k, c in terms:
-        weights[k % (2 * n)] += c
-    vec = [Fraction(w) for w in weights[:phi]]  # x^k with k < phi is a basis vector
+        weights[k % (2 * n)] += _canonical(c)
+    vec = weights[:phi]  # x^k with k < phi is a basis vector
     for w, power in zip(weights[phi:], powers[phi:]):
         if w:
             for i, x in enumerate(power.coeffs):
                 if x:
                     vec[i] += w * x
-    return CycloNum(2 * n, tuple(vec))
+    return CycloNum(2 * n, tuple(map(_canonical, vec)))
 
 
 def cyclo_arith(x: CycloNum, y: CycloNum, op: str):

@@ -35,8 +35,8 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Columns = tuple[dict[int, int], ...]   # cols[j][i]: nonzero integer entry (i, j)
 _ZERO = Fraction(0)
 _EXACT = (int, Fraction)
-# largest n read from JSON or the command line: the cached power table of
-# Q(zeta_2n) holds 2n * phi(2n) Fractions, so its time and memory grow as n^2
+# largest n read from JSON or the command line: the power table of
+# Q(zeta_2n) holds 2n * phi(2n) integers, so its time and memory grow as n^2
 MAX_N = 200
 MAX_FILTRATION_WIDTH = 1000  # spectral_sequence keeps width + 2 pages
 _MAX_EXPONENT = 400  # Fraction expands "1e-k" in full; finite floats need 324

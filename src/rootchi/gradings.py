@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import json
 
+from .cyclo import CycloNum, root
 from .laurent import LaurentPoly
 
 Rat = int | Fraction
@@ -207,6 +208,18 @@ def eval_exponent(convention: str, n: int) -> int:
     if convention == "hfk_primed":
         return 2 * n + 2
     raise TableError(f"no root evaluation for convention {convention!r}")
+
+
+def hfk_phase(ell: int, n: int) -> CycloNum:
+    """e^(pi*i(1 - ell)/n): the chi of the unprimed (1/n)Z-graded theory of an
+    ell-component link is this phase times Delta at t^(1/2) = -e^(-pi*i/n)."""
+    return root(n, 1 - ell)
+
+
+def koszul_factor(ell: int, n: int) -> CycloNum:
+    """(1 - e^(2*pi*i/n))^(ell - 1): the factor the hat-theory prediction
+    (t^(-1/2) - t^(1/2))^(ell - 1) * Delta carries at t^(1/2) = -e^(-pi*i/n)."""
+    return (CycloNum.from_rational(1) - root(n, 2)) ** (ell - 1)
 
 
 @dataclass(frozen=True)

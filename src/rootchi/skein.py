@@ -15,14 +15,21 @@ close up into unlinks.
 All other normalizations are derived from P by exact division, never by a
 second recursion, so a convention slip shows up as a division error instead
 of a silently wrong value.
+
+Every one-variable image of P (the sl(n) polynomial at a = q^n, z = q - q^-1,
+the Alexander polynomial at z = t^(1/2) - t^(-1/2), the evaluations at
+a = +-1) is taken by ``specialize`` in one pass over the terms of P: each
+a^k z^j adds its coefficient, as an integer, times a cached integer row of
+the binomial expansion of (x - x^-1)^j.
 """
 
 from __future__ import annotations
 
 import os
 from functools import cache
+from math import comb
 
-from .laurent import LaurentPoly, exact_div, one, substitute, var
+from .laurent import LaurentPoly, PolyError, Rat, exact_div, one, substitute, var
 from .linkdiag import (LinkDiagram, ResourceBoundError, canonical_key,
                        first_non_descending, simplify, smooth_crossing,
                        switch_crossing)
@@ -70,11 +77,6 @@ def crossing_bound() -> int:
 @cache
 def _delta_power(k: int) -> LaurentPoly:
     return _DELTA ** k
-
-
-@cache
-def _q_power(k: int) -> LaurentPoly:
-    return _Q ** k
 
 
 @cache
@@ -136,6 +138,51 @@ def homfly_middle(d: LinkDiagram, unreduced: LaurentPoly | None = None) -> Laure
     return -exact_div(p, _A_FACTOR)
 
 
+@cache
+def _binomial_row(k: int) -> tuple[int, ...]:
+    """The coefficients of (x - x^-1)^k at x^k, x^(k-2), ..., x^-k."""
+    return tuple(comb(k, i) if i % 2 == 0 else -comb(k, i) for i in range(k + 1))
+
+
+def specialize(p: LaurentPoly, name: str, alpha: int, beta: int,
+               a_sign: int = 1, z_sign: int = 1) -> LaurentPoly:
+    """p(a, z) at a = a_sign * v^(alpha/2) and z = z_sign * (v^(beta/2) -
+    v^(-beta/2)), where v is the variable ``name``: like stored exponents,
+    ``alpha`` and ``beta`` are doubled, and the signs are 1 or -1.
+
+    One pass over the terms: a^k z^j adds its coefficient times the cached
+    integer row of (x - x^-1)^j, shifted by the image of a^k, summed as an
+    ``int`` while the coefficients are integral.  The exponents of a and z
+    must be integers and those of z nonnegative (multiply by a power of z
+    first); any other variable is refused.
+    """
+    other = set(p.vars) - {"a", "z"}
+    if other:
+        raise PolyError(f"only a and z can be specialized, not {sorted(other)}")
+    a_flip, z_flip, step = a_sign < 0, z_sign < 0, 2 * beta
+    ia = p.vars.index("a") if "a" in p.vars else None
+    iz = p.vars.index("z") if "z" in p.vars else None
+    acc: dict[int, Rat] = {}
+    for exps, c in p.terms:
+        ea = exps[ia] if ia is not None else 0
+        ez = exps[iz] if iz is not None else 0
+        if ea % 2 or ez % 2:
+            raise PolyError("half-integer exponents of a or z cannot be specialized")
+        k, j = ea // 2, ez // 2
+        if j < 0:
+            raise PolyError("negative powers of z cannot be specialized; "
+                            "multiply by a power of z first")
+        if c.denominator == 1:
+            c = c.numerator
+        if (a_flip * k + z_flip * j) % 2:
+            c = -c
+        e = alpha * k + beta * j
+        for b in _binomial_row(j):
+            acc[e] = acc.get(e, 0) + b * c
+            e -= step
+    return LaurentPoly.make((name,), {(e,): c for e, c in acc.items()})
+
+
 def alexander(d: LinkDiagram, unreduced: LaurentPoly | None = None) -> LaurentPoly:
     """Symmetric one-variable polynomial in t^(1/2), from the a -> 1 shadow."""
     p = unreduced if unreduced is not None else homfly_unreduced(d)
@@ -144,7 +191,7 @@ def alexander(d: LinkDiagram, unreduced: LaurentPoly | None = None) -> LaurentPo
     lo, _ = r.exponent_range("z")
     if lo < 0:
         raise InvariantError("a=1 specialization kept negative z powers")
-    return substitute(r, "z", _S)
+    return specialize(r, "t", 0, 1)
 
 
 @cache
@@ -152,7 +199,7 @@ def quantum_integer(n: int) -> LaurentPoly:
     """(q^n - q^-n)/(q - q^-1) as a genuine Laurent polynomial."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return exact_div(_q_power(n) - _q_power(-n), _Q_DIFF)
+    return exact_div(_Q ** n - _Q ** -n, _Q_DIFF)
 
 
 def sln_poly(d: LinkDiagram, n: int, reduced: bool = True,
@@ -168,8 +215,7 @@ def sln_poly(d: LinkDiagram, n: int, reduced: bool = True,
     lo, _ = p.exponent_range("z")  # doubled exponent: actual min power is lo/2
     shift = (-lo) // 2 if lo < 0 else 0
     cleared = p * _Z ** shift if shift else p
-    s = substitute(cleared, "a", _q_power(n))
-    s = substitute(s, "z", _Q_DIFF)
+    s = specialize(cleared, "q", 2 * n, 2)
     if shift:
         s = exact_div(s, _q_diff_power(shift))
     return sln_reduce(s, n) if reduced else s

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from .alexoracle import alex_matrix_poly, normalize_symmetric
 from .cyclo import CycloNum, eval_at_root, root
-from .gradings import eval_exponent, hfk_shift_spec
+from .gradings import eval_exponent, hfk_phase, hfk_shift_spec, koszul_factor
 from .laurent import (LaurentPoly, PolyError, RationalPair, exact_div, one,
                       serialize, substitute, zero)
 from .linkdiag import LinkDiagram, SkeinSite, skein_resolve
 from .skein import (_A, _A_FACTOR, _S, _Z, InvariantError, alexander,
                     homfly_middle, homfly_reduced, homfly_unreduced, sln_poly,
-                    sln_reduce)
+                    sln_reduce, specialize)
 
 _A_INV = _A ** -1
 
@@ -110,18 +110,17 @@ def _guarded(name: str, fn) -> list[CheckResult]:
 # -- specialization helpers -------------------------------------------------------
 
 
-def eval_az(p: LaurentPoly, a_value: int, z_image: LaurentPoly) -> RationalPair:
-    """Evaluate an (a, z) polynomial at a = +-1, z = z_image, exactly.
+def eval_az(p: LaurentPoly, a_sign: int, z_sign: int) -> RationalPair:
+    """Evaluate an (a, z) polynomial at a = a_sign, z = z_sign * S exactly,
+    with S = t^(1/2) - t^(-1/2) and both signs +-1.
 
     Negative z powers are cleared first, so the result is a rational pair
-    with denominator a power of the image.
+    with denominator a power of z_sign * S.
     """
     lo, _ = p.exponent_range("z")
     k = (-lo) // 2 if lo < 0 else 0
-    cleared = p * _Z ** k
-    num = substitute(cleared, "a", Fraction(a_value))
-    num = substitute(num, "z", z_image)
-    return RationalPair(num, z_image ** k)
+    num = specialize(p * _Z ** k, "t", 0, 1, a_sign, z_sign)
+    return RationalPair(num, (z_sign * _S) ** k)
 
 
 # -- individual checks --------------------------------------------------------------
@@ -251,12 +250,12 @@ def verify_polynomial_identities(d: LinkDiagram,
         pmid = v.homfly_middle()
         dl = v.delta()
         return [
-            _check("reduced_at_a1", eval_az(pbar, 1, _S), dl),
-            _check("middle_at_a1", eval_az(pmid, 1, _S), RationalPair(dl, -_S)),
-            _check("unreduced_at_a1", eval_az(p, 1, _S), RationalPair(zero(), one())),
-            _check("reduced_at_a_minus1", eval_az(pbar, -1, -_S), dl),
-            _check("middle_at_a_minus1", eval_az(pmid, -1, -_S), RationalPair(dl, _S)),
-            _check("unreduced_at_a_minus1", eval_az(p, -1, _S), RationalPair(zero(), one())),
+            _check("reduced_at_a1", eval_az(pbar, 1, 1), dl),
+            _check("middle_at_a1", eval_az(pmid, 1, 1), RationalPair(dl, -_S)),
+            _check("unreduced_at_a1", eval_az(p, 1, 1), RationalPair(zero(), one())),
+            _check("reduced_at_a_minus1", eval_az(pbar, -1, -1), dl),
+            _check("middle_at_a_minus1", eval_az(pmid, -1, -1), RationalPair(dl, _S)),
+            _check("unreduced_at_a_minus1", eval_az(p, -1, 1), RationalPair(zero(), one())),
             _parity_check("parity_reduced", pbar, want_odd=False),
             _parity_check("parity_middle", pmid, want_odd=True),
             _parity_check("parity_unreduced", p, want_odd=False),
@@ -323,17 +322,16 @@ def verify_thm_hfk(d: LinkDiagram, n: int,
         ell = d.components
         at_minus = eval_exponent("hfk", n)          # t^(1/2) -> -e^(-pi*i/n)
         ev_minus = v.delta_at(n, at_minus)
-        chi_unprimed = root(n, 1 - ell) * ev_minus
+        chi_unprimed = hfk_phase(ell, n) * ev_minus
         chi_primed = v.delta_at(n, eval_exponent("hfk_primed", n))
         shift_factor = root(n, hfk_shift_spec("reduced", ell, n).frac_shift_units)
         hat_poly = (-_S) ** (ell - 1) * v.delta()    # (t^(-1/2) - t^(1/2))^(l-1) Delta
         hat_eval = eval_at_root(hat_poly, n, at_minus)
-        koszul = (CycloNum.from_rational(1) - root(n, 2)) ** (ell - 1)
         return [
             _check(f"hfk{n}_shift_consistency", chi_primed,
                    shift_factor * chi_unprimed),
             _check(f"hfk{n}_koszul_factor", hat_eval,
-                   root(n, 1 - ell) * koszul * ev_minus),
+                   hfk_phase(ell, n) * koszul_factor(ell, n) * ev_minus),
         ]
     return _guarded(f"hfk{n}_checks", go)
 

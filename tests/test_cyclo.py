@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootchi.cyclo import CycloNum, cyclotomic_poly, eval_at_root, root
+from rootchi import cyclo
+from rootchi.cyclo import CycloNum, cyclotomic_poly, eval_at_root, root, root_sum
 from rootchi.laurent import mono, one, var
 from rootchi.skein import quantum_integer
 
@@ -205,3 +206,39 @@ def test_cyclotomic_polys_are_integral_of_degree_phi():
         totient = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
         assert all(type(c) is int for c in coeffs), m
         assert len(coeffs) - 1 == totient and coeffs[-1] == 1, m
+
+
+# -- integral coefficients are ints ---------------------------------------------------
+
+
+def _is_canonical(x):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in x.coeffs)
+
+
+_halves = st.lists(st.tuples(st.integers(0, 47), st.integers(-6, 6)), max_size=6)
+
+
+@given(st.integers(1, 12), _halves, _halves)
+@settings(max_examples=60)
+def test_coefficients_are_ints_or_proper_fractions(n, xs, ys):
+    """Halves whose products and sums are often integral, and integers."""
+    x = root_sum(n, ((k, Fraction(c, 2)) for k, c in xs))
+    y = root_sum(2 * n, ys)
+    results = [x, y, x * y, x * x, y * y, x.to_order(6 * n), y.to_order(4 * n),
+               x + x, x - x, CycloNum.from_rational(Fraction(4, 2), 2 * n)]
+    results += [z.inverse() for z in (x, y) if not z.is_zero()]
+    for r in results:
+        assert _is_canonical(r), r
+    assert all(type(c) is int for c in (y * y).coeffs + (x + x).coeffs)
+
+
+def test_evicted_power_table_is_rebuilt_equal():
+    table = cyclo._powers(5)
+    for n in range(6, 7 + cyclo._POWER_TABLES):
+        cyclo._powers(n)
+    assert cyclo._powers.cache_info().currsize == cyclo._POWER_TABLES
+    rebuilt = cyclo._powers(5)
+    assert rebuilt is not table
+    assert [(p.order, p.coeffs) for p in rebuilt] == [(p.order, p.coeffs) for p in table]
+    assert all(type(c) is int for p in rebuilt for c in p.coeffs)

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootchi.laurent import mono, one, var, zero
+from rootchi.laurent import LaurentPoly, PolyError, mono, one, substitute, var, zero
 from rootchi.linkdiag import SkeinSite, parse_braid, parse_link, parse_pd, skein_resolve
 from rootchi.skein import (ResourceBoundError, alexander, homfly_middle,
                            homfly_reduced, homfly_unreduced, quantum_integer,
-                           sln_poly)
+                           sln_poly, specialize)
 
 a, q, t, z = var("a"), var("q"), var("t"), var("z")
 DELTA = (a - a ** -1) * z ** -1
@@ -123,3 +125,57 @@ def test_env_bound_override(monkeypatch):
         homfly_unreduced(tref)
     monkeypatch.setenv("ROOTCHI_MAX_CROSSINGS", "16")
     assert homfly_reduced(tref) is not None
+
+
+# -- the one-pass specialization against chained substitutions ---------------------
+
+# (variable, doubled a power, doubled z power): sl(n) for n = 1..6, Alexander
+_IMAGES = [("q", 2 * n, 2) for n in range(1, 7)] + [("t", 0, 1)]
+_SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def _chained(p, name, alpha, beta, a_sign, z_sign):
+    """a -> a_sign * v^(alpha/2), then z -> z_sign * (v^(beta/2) - v^(-beta/2))."""
+    p = substitute(p, "a", a_sign * mono(1, **{name: Fraction(alpha, 2)}))
+    return substitute(p, "z", z_sign * (mono(1, **{name: Fraction(beta, 2)})
+                                        - mono(1, **{name: Fraction(-beta, 2)})))
+
+
+_az_polys = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(0, 5)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=3),
+    max_size=6).map(lambda terms: LaurentPoly.make(
+        ("a", "z"), {(2 * k, 2 * j): c for (k, j), c in terms.items()}))
+
+
+@given(_az_polys, st.sampled_from(_IMAGES))
+@settings(max_examples=80)
+def test_specialize_matches_chained_substitution(p, image):
+    name, alpha, beta = image
+    assert specialize(p, name, alpha, beta) == _chained(p, name, alpha, beta, 1, 1)
+
+
+@given(_az_polys, st.sampled_from(_SIGNS))
+@settings(max_examples=60)
+def test_specialize_at_a_plus_minus_1_matches_chained_substitution(p, signs):
+    """a = +-1 with z = +-S, the images of the a = +-1 evaluations."""
+    assert specialize(p, "t", 0, 1, *signs) == _chained(p, "t", 0, 1, *signs)
+
+
+def test_specialize_keeps_the_canonical_form():
+    p = specialize(3 * a ** 2 * z ** 2 - Fraction(1, 2) * z, "q", 4, 2)
+    assert p == 3 * q ** 6 - 6 * q ** 4 + 3 * q ** 2 - Fraction(1, 2) * (q - q ** -1)
+    assert all(type(c) is Fraction for _, c in p.terms)
+    assert specialize(z * a ** -1 - z, "t", 0, 1) == zero()
+
+
+@pytest.mark.parametrize("p, message", [
+    (mono(1, a=Fraction(1, 2)) * z, "half-integer"),
+    (a * mono(1, z=Fraction(3, 2)), "half-integer"),
+    (a * z ** -1 + z, "negative powers of z"),
+    (a * z + q, "only a and z"),
+    (t * z, "only a and z"),
+])
+def test_specialize_errors(p, message):
+    with pytest.raises(PolyError, match=message):
+        specialize(p, "q", 4, 2)

@@ -6,7 +6,7 @@ import pytest
 import rootchi.skein as skein_mod
 import rootchi.verify as verify_mod
 from rootchi.corpus import CorpusEntry, bundled_corpus, parse_corpus
-from rootchi.laurent import LaurentPoly, PolyError, one, serialize, var
+from rootchi.laurent import PolyError, one, var
 from rootchi.linkdiag import SkeinSite, parse_link
 from rootchi.skein import alexander, homfly_unreduced
 from rootchi.verify import (CheckResult, reports_to_json, run_link_checks,
@@ -130,13 +130,13 @@ def test_run_link_checks_report_shape():
 
 
 def test_run_link_checks_computes_each_sln_value_and_evaluation_once(monkeypatch):
-    substituted = []
-    real_substitute = skein_mod.substitute
+    specialized = []
+    real_specialize = skein_mod.specialize
 
-    def counting_substitute(p, name, image):
-        if name == "a" and isinstance(image, LaurentPoly) and image.vars == ("q",):
-            substituted.append(serialize(image))
-        return real_substitute(p, name, image)
+    def counting_specialize(p, name, alpha, beta, *signs):
+        if name == "q":
+            specialized.append(alpha // 2)
+        return real_specialize(p, name, alpha, beta, *signs)
 
     evaluations = []
     real_eval = verify_mod.eval_at_root
@@ -145,18 +145,17 @@ def test_run_link_checks_computes_each_sln_value_and_evaluation_once(monkeypatch
         evaluations.append((n, k))
         return real_eval(p, n, k)
 
-    monkeypatch.setattr(skein_mod, "substitute", counting_substitute)
+    monkeypatch.setattr(skein_mod, "specialize", counting_specialize)
     monkeypatch.setattr(verify_mod, "eval_at_root", counting_eval)
     total = 0
     for entry in bundled_corpus():
-        substituted.clear()
+        specialized.clear()
         reports = run_link_checks(entry.name, entry.diagram(), range(1, 7),
                                   expected=entry.expected)
         assert all(r.ok for r in reports), entry.name
-        # a -> q^n exactly once for each n
-        assert sorted(substituted) == sorted(serialize(var("q") ** n)
-                                             for n in range(1, 7)), entry.name
-        total += len(substituted)
+        # one specialization a -> q^n, z -> q - q^-1 for each n
+        assert sorted(specialized) == list(range(1, 7)), entry.name
+        total += len(specialized)
     assert total == 180
     assert len(evaluations) == 750
 
