@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, exact_div, one, var, zero
-from .linkdiag import LinkDiagram
+from .linkdiag import LinkDiagram, validate
 
 _T = var("t")
 # row entries at the overarc, the incoming and the outgoing underarc, by sign
@@ -131,7 +131,9 @@ def alex_matrix_poly(d: LinkDiagram) -> AlexClass:
     """Alexander class from the Wirtinger relation matrix.
 
     Split diagrams give the zero class; the 0-crossing unknot gives 1.
+    Raises ``DiagramError`` on an invalid diagram.
     """
+    validate(d)
     ell = d.components
     if not d.crossings:
         return AlexClass.of(one(), ell) if d.unknot_count == 1 else AlexClass(zero(), ell)

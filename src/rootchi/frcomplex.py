@@ -132,12 +132,6 @@ class FracComplex:
     def dim(self) -> int:
         return len(self.degrees)
 
-    def degree_dims(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for u in self.degrees:
-            out[u] = out.get(u, 0) + 1
-        return dict(sorted(out.items()))
-
 
 def _complex(n, degrees, names, filtration, cols: Columns, den: int) -> FracComplex:
     """A FracComplex holding d = cols / den as given, unchecked."""

@@ -88,12 +88,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (zero for the empty one)."""
-        if self.vars:
-            raise PolyError("not a constant polynomial")
-        return self.terms[0][1] if self.terms else Fraction(0)
-
     def exponent_range(self, name: str) -> tuple[int, int]:
         """(min, max) doubled exponent of ``name``; (0, 0) if absent."""
         if name not in self.vars or not self.terms:

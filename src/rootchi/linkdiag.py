@@ -7,12 +7,22 @@ label occurs exactly once as the head of a strand (an ``*_in`` slot) and
 once as a tail (an ``*_out`` slot); following tails to heads partitions the
 edges into closed oriented components.
 
+One walk, ``_walk``, follows each component from its smallest edge label;
+``normalize``, ``canonical_key``, ``first_non_descending`` and
+``LinkDiagram.components`` all read it.  The walk assumes a valid diagram
+and checks only that the edges close up into strands.  The full check,
+``validate`` (signs, labels, then the walk), runs where a diagram enters:
+in ``make_diagram``, in ``skein_resolve``, and once at the top of
+``skein.homfly_unreduced`` and ``alexoracle.alex_matrix_poly``, not at each
+node of the skein recursion.
+
 PD input ``X[a,b,c,d]`` lists the four edges counterclockwise starting at
-the incoming understrand, so the understrand runs a -> c.  The overstrand
-direction is inferred globally (each edge needs one head and one tail);
-for components that never pass under, where both directions are consistent,
-the successor-label heuristic used by standard knot tables decides.  The
-crossing is positive exactly when the overstrand enters at slot b.
+the incoming understrand, so the understrand runs a -> c.  Overstrand
+directions are found by walking each strand once, slot to opposite slot:
+its passes under a crossing fix its direction.  A strand that never passes
+under takes the successor-label rule of standard knot tables at its
+lowest-index crossing.  The crossing is positive exactly when the
+overstrand enters at slot b.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ class LinkDiagram:
 
     @property
     def components(self) -> int:
-        return len(_component_cycles(self.crossings)) + self.unknot_count
+        return len(_walk(self.crossings)[0]) + self.unknot_count
 
     def stats(self) -> tuple[int, int, int]:
         return (self.components, self.writhe, len(self.crossings))
@@ -77,24 +87,46 @@ class SkeinSite:
 # -- structural validation and traversal --------------------------------------
 
 
-def _head_tail_maps(crossings) -> tuple[dict[int, tuple[int, str]], dict[int, tuple[int, str]]]:
-    """Edge -> (crossing index, role) maps; validates the one-head-one-tail rule."""
-    heads: dict[int, tuple[int, str]] = {}
-    tails: dict[int, tuple[int, str]] = {}
+def _walk(crossings) -> tuple[list[list[int]], dict[int, tuple[int, bool, int]]]:
+    """Follow each component from its smallest edge label.
+
+    Returns the edge cycles in that order and a map from each edge to (the
+    crossing it enters, whether it enters under, the next edge).  Edges that
+    do not close up into strands, one head and one tail each, raise
+    ``DiagramError`` on the way.
+    """
+    step = {}
     for i, c in enumerate(crossings):
-        for e in c.edges():
-            if not isinstance(e, int) or e < 1:
-                raise DiagramError(f"edge labels must be positive integers, got {e!r}")
-        for e, role, book in ((c.under_in, "under", heads), (c.over_in, "over", heads),
-                              (c.under_out, "under", tails), (c.over_out, "over", tails)):
-            if e in book:
-                kind = "head" if book is heads else "tail"
-                raise DiagramError(f"edge {e} has two {kind}s; orientation is inconsistent")
-            book[e] = (i, role)
-    if set(heads) != set(tails):
-        missing = set(heads) ^ set(tails)
-        raise DiagramError(f"edges {sorted(missing)} do not occur exactly twice")
-    return heads, tails
+        step[c.under_in] = (i, True, c.under_out)
+        step[c.over_in] = (i, False, c.over_out)
+    if len(step) != 2 * len(crossings):
+        raise DiagramError("an edge has two heads; orientation is inconsistent")
+    cycles: list[list[int]] = []
+    seen: set[int] = set()
+    for start in sorted(step):
+        if start in seen:
+            continue
+        cycle, e = [], start
+        while e not in seen:
+            seen.add(e)
+            cycle.append(e)
+            entry = step.get(e)
+            if entry is None:
+                raise DiagramError(f"edge {e} has a tail but no head")
+            e = entry[2]
+        if e != start:
+            raise DiagramError(f"edge {e} has two tails; orientation is inconsistent")
+        cycles.append(cycle)
+    return cycles, step
+
+
+def _relabeled(crossings) -> list[tuple[int, int, int, int, int]]:
+    """(sign, under_in, under_out, over_in, over_out) of each crossing, with
+    the edges relabeled 1..2c in traversal order."""
+    cycles, _ = _walk(crossings)
+    r = {e: k for k, e in enumerate((e for cycle in cycles for e in cycle), 1)}
+    return [(c.sign, r[c.under_in], r[c.under_out], r[c.over_in], r[c.over_out])
+            for c in crossings]
 
 
 def validate(d: LinkDiagram) -> None:
@@ -103,50 +135,16 @@ def validate(d: LinkDiagram) -> None:
     for c in d.crossings:
         if c.sign not in (1, -1):
             raise DiagramError(f"crossing sign must be +1 or -1, got {c.sign}")
-    _head_tail_maps(d.crossings)
-
-
-def _successor(crossings, heads) -> dict[int, int]:
-    """Edge -> next edge along the strand orientation."""
-    nxt = {}
-    for e, (i, role) in heads.items():
-        c = crossings[i]
-        nxt[e] = c.under_out if role == "under" else c.over_out
-    return nxt
-
-
-def _component_cycles(crossings) -> list[list[int]]:
-    """Edge cycles of the diagram, ordered by smallest edge label."""
-    if not crossings:
-        return []
-    heads, _ = _head_tail_maps(crossings)
-    nxt = _successor(crossings, heads)
-    seen: set[int] = set()
-    cycles = []
-    for start in sorted(nxt):
-        if start in seen:
-            continue
-        cyc = []
-        e = start
-        while e not in seen:
-            seen.add(e)
-            cyc.append(e)
-            e = nxt[e]
-        cycles.append(cyc)
-    return cycles
+        for e in c.edges():
+            if not isinstance(e, int) or e < 1:
+                raise DiagramError(f"edge labels must be positive integers, got {e!r}")
+    _walk(d.crossings)
 
 
 def normalize(d: LinkDiagram) -> LinkDiagram:
     """Relabel edges 1..2c in traversal order; crossing order is preserved."""
-    if not d.crossings:
-        return LinkDiagram((), d.unknot_count, d.name)
-    relabel: dict[int, int] = {}
-    for cyc in _component_cycles(d.crossings):
-        for e in cyc:
-            relabel[e] = len(relabel) + 1
-    newcs = [Crossing(c.sign, relabel[c.under_in], relabel[c.under_out],
-                      relabel[c.over_in], relabel[c.over_out]) for c in d.crossings]
-    return LinkDiagram(tuple(newcs), d.unknot_count, d.name)
+    return LinkDiagram(tuple(Crossing(*c) for c in _relabeled(d.crossings)),
+                       d.unknot_count, d.name)
 
 
 def make_diagram(crossings, unknot_count: int = 0, name: str | None = None) -> LinkDiagram:
@@ -160,15 +158,15 @@ def make_diagram(crossings, unknot_count: int = 0, name: str | None = None) -> L
 def canonical_key(d: LinkDiagram):
     """Hashable encoding of the diagram; used as the skein memo key.
 
-    The key describes the diagram completely, so equal keys mean the same
-    diagram up to edge labels and crossing order.  It is stable under reordering the crossings and under any
-    order-preserving relabeling of the edges, because ``normalize`` starts
-    each component at its smallest label.  It is not canonical: a relabeling
-    that moves a component's smallest label to another edge, such as a
-    cyclic shift of the labels of a T(3,4) closure, changes the key.
+    The key is that of ``normalize(d)``: it describes the diagram completely,
+    so equal keys mean the same diagram up to edge labels and crossing order.
+    It is stable under reordering the crossings and under any
+    order-preserving relabeling of the edges, because the walk starts each
+    component at its smallest label.  It is not canonical: a relabeling that
+    moves a component's smallest label to another edge, such as a cyclic
+    shift of the labels of a T(3,4) closure, changes the key.
     """
-    nd = normalize(d)
-    return (tuple(sorted((c.sign,) + c.edges() for c in nd.crossings)), nd.unknot_count)
+    return (tuple(sorted(_relabeled(d.crossings))), d.unknot_count)
 
 
 # -- PD notation ---------------------------------------------------------------
@@ -179,71 +177,49 @@ _PD_X = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
 def _infer_over_directions(quads: list[tuple[int, int, int, int]]) -> list[bool]:
     """For each crossing decide whether the overstrand enters at slot b.
 
-    Constraint propagation from the fixed understrand roles, then the
-    successor-label heuristic for any crossings that remain free (components
-    that never pass under).  Returns a list of ``in_is_b`` flags.
+    Walks each strand once, from slot to opposite slot.  Its passes under a
+    crossing (a -> c) fix its direction, and passes in both directions are
+    an error.  A strand that never passes under takes the successor-label
+    rule of the standard tables at its lowest-index crossing: the overstrand
+    runs from b to d when d = b + 1, from d to b when b = d + 1, and else
+    from the larger label to the smaller.  Returns a list of ``in_is_b`` flags.
     """
-    occurrences: dict[int, list[tuple[str, int]]] = {}
-    for i, (a, b, c, dd) in enumerate(quads):
-        occurrences.setdefault(a, []).append(("uin", i))
-        occurrences.setdefault(c, []).append(("uout", i))
-        occurrences.setdefault(b, []).append(("b", i))
-        occurrences.setdefault(dd, []).append(("d", i))
-    for e, occ in occurrences.items():
+    where: dict[int, list[tuple[int, int]]] = {}  # edge -> its (crossing, slot)s
+    for i, quad in enumerate(quads):
+        for slot, e in enumerate(quad):
+            where.setdefault(e, []).append((i, slot))
+    for e, occ in where.items():
         if len(occ) != 2:
             raise DiagramError(f"edge label {e} occurs {len(occ)} time(s), expected 2")
-
-    decided: dict[int, bool] = {}  # crossing -> in_is_b
-    # role of an over slot given a decision: slot b is a head iff in_is_b
-    def slot_is_head(slot: str, in_is_b: bool) -> bool:
-        return (slot == "b") == in_is_b
-
-    changed = True
-    while True:
-        while changed:
-            changed = False
-            for e, occ in occurrences.items():
-                roles: list[bool | None] = []
-                for slot, i in occ:
-                    if slot == "uin":
-                        roles.append(True)
-                    elif slot == "uout":
-                        roles.append(False)
-                    elif i in decided:
-                        roles.append(slot_is_head(slot, decided[i]))
-                    else:
-                        roles.append(None)
-                if roles[0] is not None and roles[1] is not None:
-                    if roles[0] == roles[1]:
-                        raise DiagramError(
-                            f"edge {e} cannot be oriented consistently")
-                    continue
-                for k in (0, 1):
-                    if roles[k] is None and roles[1 - k] is not None:
-                        slot, i = occ[k]
-                        want_head = not roles[1 - k]
-                        value = want_head if slot == "b" else not want_head
-                        if i in decided:
-                            if decided[i] != value:
-                                raise DiagramError(
-                                    f"edge {e} cannot be oriented consistently")
-                        else:
-                            decided[i] = value
-                            changed = True
-        free = [i for i in range(len(quads)) if i not in decided]
-        if not free:
-            break
-        # successor heuristic on the lowest-index free crossing
-        i = free[0]
-        _, b, _, dd = quads[i]
-        if dd == b + 1:
-            decided[i] = True   # over runs b -> d
-        elif b == dd + 1:
-            decided[i] = False  # over runs d -> b
+    in_is_b = [False] * len(quads)
+    done: set[tuple[int, int]] = set()
+    for pos in [(i, slot) for i in range(len(quads)) for slot in range(4)]:
+        if pos in done:
+            continue
+        passes = []  # (crossing, slot entered) along the strand
+        while pos not in done:
+            i, slot = pos
+            out = (i, slot ^ 2)  # the opposite slot
+            done.update((pos, out))
+            passes.append(pos)
+            first, second = where[quads[i][slot ^ 2]]
+            pos = second if first == out else first
+        # forward: the walk runs along the strand's orientation, as when it enters at a
+        under = {slot == 0 for _, slot in passes if slot % 2 == 0}
+        if len(under) > 1:
+            i, slot = passes[0]
+            raise DiagramError(f"the strand through edge {quads[i][slot]} passes under "
+                               "in both directions")
+        if under:
+            forward = under.pop()
         else:
-            decided[i] = b > dd  # wraparound: orient from larger to smaller
-        changed = True
-    return [decided[i] for i in range(len(quads))]
+            i, slot = min(passes)
+            _, b, _, d = quads[i]
+            forward = (slot == 1) == (d == b + 1 or (b != d + 1 and b > d))
+        for i, slot in passes:
+            if slot % 2:
+                in_is_b[i] = (slot == 1) == forward
+    return in_is_b
 
 
 def parse_pd(text: str) -> LinkDiagram:
@@ -275,13 +251,8 @@ def parse_pd(text: str) -> LinkDiagram:
         raise DiagramError(f"malformed PD body: {inner!r}")
     if not quads and unknots == 0:
         raise DiagramError("PD expression contains no crossings")
-    in_is_b = _infer_over_directions(quads)
-    crossings = []
-    for (a, b, c, dd), ib in zip(quads, in_is_b):
-        if ib:
-            crossings.append(Crossing(+1, a, c, b, dd))
-        else:
-            crossings.append(Crossing(-1, a, c, dd, b))
+    crossings = [Crossing(+1, a, c, b, dd) if in_is_b else Crossing(-1, a, c, dd, b)
+                 for (a, b, c, dd), in_is_b in zip(quads, _infer_over_directions(quads))]
     return make_diagram(crossings, unknots)
 
 
@@ -469,22 +440,13 @@ def simplify(d: LinkDiagram) -> LinkDiagram:
 def first_non_descending(d: LinkDiagram) -> int | None:
     """Index of the first crossing met on its understrand, traversing
     components in label order; None when the diagram is descending."""
-    if not d.crossings:
-        return None
-    heads, _ = _head_tail_maps(d.crossings)
-    nxt = _successor(d.crossings, heads)
-    seen_edges: set[int] = set()
-    visited_crossings: set[int] = set()
-    for start in sorted(nxt):
-        if start in seen_edges:
-            continue
-        e = start
-        while e not in seen_edges:
-            seen_edges.add(e)
-            i, role = heads[e]
-            if i not in visited_crossings:
-                if role == "under":
+    cycles, step = _walk(d.crossings)
+    met: set[int] = set()
+    for cycle in cycles:
+        for e in cycle:
+            i, under, _ = step[e]
+            if i not in met:
+                if under:
                     return i
-                visited_crossings.add(i)
-            e = nxt[e]
+                met.add(i)
     return None

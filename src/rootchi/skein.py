@@ -32,7 +32,7 @@ from math import comb
 from .laurent import LaurentPoly, PolyError, Rat, exact_div, one, substitute, var
 from .linkdiag import (LinkDiagram, ResourceBoundError, canonical_key,
                        first_non_descending, simplify, smooth_crossing,
-                       switch_crossing)
+                       switch_crossing, validate)
 
 DEFAULT_MAX_CROSSINGS = 14
 _ENV_BOUND = "ROOTCHI_MAX_CROSSINGS"
@@ -118,7 +118,9 @@ def homfly_unreduced(d: LinkDiagram, max_crossings: int | None = None,
     its P.  A caller may pass the same dict to several calls so that they
     share subdiagrams; the key describes a diagram completely, so a filled
     memo never changes a result.  Without one each call starts empty.
+    ``d`` is validated here once; the recursion below does not revalidate.
     """
+    validate(d)
     bound = max_crossings if max_crossings is not None else crossing_bound()
     if len(d.crossings) > bound:
         raise ResourceBoundError(

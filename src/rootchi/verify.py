@@ -17,12 +17,12 @@ from fractions import Fraction
 from .alexoracle import alex_matrix_poly, normalize_symmetric
 from .cyclo import CycloNum, eval_at_root, root
 from .gradings import eval_exponent, hfk_phase, hfk_shift_spec, koszul_factor
-from .laurent import (LaurentPoly, PolyError, RationalPair, exact_div, one,
-                      serialize, substitute, zero)
+from .laurent import (LaurentPoly, PolyError, RationalPair, one, serialize,
+                      substitute, zero)
 from .linkdiag import LinkDiagram, SkeinSite, skein_resolve
-from .skein import (_A, _A_FACTOR, _S, _Z, InvariantError, alexander,
-                    homfly_middle, homfly_reduced, homfly_unreduced, sln_poly,
-                    sln_reduce, specialize)
+from .skein import (_A, _S, _Z, InvariantError, alexander, homfly_middle,
+                    homfly_reduced, homfly_unreduced, sln_poly, sln_reduce,
+                    specialize)
 
 _A_INV = _A ** -1
 
@@ -227,9 +227,10 @@ class LinkValues:
         return self._keep(("delta_at", n, k), lambda: eval_at_root(self.delta(), n, k))
 
     def route_c(self) -> LaurentPoly:
-        """z * (P/(a - a^(-1))) at a = -1, a polynomial in z alone for every n."""
-        return self._keep("route_c", lambda: _Z * substitute(
-            exact_div(self.homfly(), _A_FACTOR), "a", Fraction(-1)))
+        """z * (P/(a - a^(-1))), the reduced P, at a = -1: a polynomial in z
+        alone for every n."""
+        return self._keep("route_c", lambda: substitute(
+            self.homfly_reduced(), "a", Fraction(-1)))
 
 
 def verify_polynomial_identities(d: LinkDiagram,
@@ -380,8 +381,7 @@ def parse_n_range(text: str) -> range:
 
 
 def run_link_checks(name: str, d: LinkDiagram, n_values,
-                    expected: dict[str, str] | None = None,
-                    skein_sites: bool = True) -> list[VerifyReport]:
+                    expected: dict[str, str] | None = None) -> list[VerifyReport]:
     """All checks for one link: an n = 0 report carries the n-independent
     ones, then one report per requested n.
 
@@ -400,9 +400,8 @@ def run_link_checks(name: str, d: LinkDiagram, n_values,
     base.checks.extend(verify_polynomial_identities(d, values=values))
     base.checks.extend(_guarded("alexander_oracle",
                                 lambda: [verify_oracle(d, delta=values.delta())]))
-    if skein_sites:
-        for i in range(len(d.crossings)):
-            base.checks.append(verify_skein_triple(SkeinSite(d, i), memo=memo))
+    for i in range(len(d.crossings)):
+        base.checks.append(verify_skein_triple(SkeinSite(d, i), memo=memo))
     for key, text in sorted((expected or {}).items()):
         want = parse_poly(text)
         base.checks.extend(_guarded(f"expected_{key}", lambda: [

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
-from rootchi.linkdiag import (DiagramError, SkeinSite, canonical_key,
-                              diagram_stats, normalize, parse_braid, parse_link,
+from rootchi.alexoracle import alex_matrix_poly
+from rootchi.corpus import bundled_corpus
+from rootchi.linkdiag import (_PD_X, Crossing, DiagramError, LinkDiagram, SkeinSite,
+                              _infer_over_directions, canonical_key, diagram_stats,
+                              normalize, parse_braid, parse_braid_word, parse_link,
                               parse_pd, serialize, simplify, skein_resolve)
+from rootchi.skein import homfly_unreduced
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 
@@ -103,3 +109,106 @@ def test_canonical_key_ignores_labels_and_order():
     d1 = parse_pd(TREFOIL_PD)
     d2 = parse_pd(serialize(d1))
     assert canonical_key(d1) == canonical_key(d2)
+
+
+@pytest.mark.parametrize("crossings, malformed_edges", [
+    ((Crossing(2, 1, 2, 2, 1),), False),  # a sign of 2
+    ((Crossing(1, 1, 2, 1, 2),), True),   # edge 1 has two heads
+    ((Crossing(1, 1, 2, 3, 1),), True),   # edge 3 has no tail
+])
+def test_engines_validate_raw_diagrams(crossings, malformed_edges):
+    d = LinkDiagram(crossings)
+    with pytest.raises(DiagramError):
+        homfly_unreduced(d)
+    with pytest.raises(DiagramError):
+        alex_matrix_poly(d)
+    if malformed_edges:
+        with pytest.raises(DiagramError):
+            d.components
+
+
+def reference_over_directions(quads):
+    """The constraint propagation that the strand walk replaced: fix each
+    edge's head and tail from the understrand roles, propagate to a fixed
+    point, then apply the successor-label rule at the lowest-index crossing
+    that is still free, and repeat."""
+    occurrences = {}
+    for i, (a, b, c, dd) in enumerate(quads):
+        occurrences.setdefault(a, []).append(("uin", i))
+        occurrences.setdefault(c, []).append(("uout", i))
+        occurrences.setdefault(b, []).append(("b", i))
+        occurrences.setdefault(dd, []).append(("d", i))
+    for e, occ in occurrences.items():
+        if len(occ) != 2:
+            raise DiagramError(f"edge label {e} occurs {len(occ)} time(s), expected 2")
+    decided = {}  # crossing -> in_is_b
+    changed = True
+    while True:
+        while changed:
+            changed = False
+            for e, occ in occurrences.items():
+                roles = []  # True for a head, None while undecided
+                for slot, i in occ:
+                    if slot in ("uin", "uout"):
+                        roles.append(slot == "uin")
+                    else:
+                        roles.append((slot == "b") == decided[i] if i in decided else None)
+                if None not in roles:
+                    if roles[0] == roles[1]:
+                        raise DiagramError(f"edge {e} cannot be oriented consistently")
+                    continue
+                for k in (0, 1):
+                    if roles[k] is None and roles[1 - k] is not None:
+                        slot, i = occ[k]
+                        value = (not roles[1 - k]) == (slot == "b")
+                        if decided.setdefault(i, value) != value:
+                            raise DiagramError(f"edge {e} cannot be oriented consistently")
+                        changed = True
+        free = [i for i in range(len(quads)) if i not in decided]
+        if not free:
+            return [decided[i] for i in range(len(quads))]
+        _, b, _, dd = quads[free[0]]
+        decided[free[0]] = True if dd == b + 1 else False if b == dd + 1 else b > dd
+        changed = True
+
+
+def _flags(infer, quads):
+    try:
+        return infer(quads)
+    except DiagramError:
+        return "rejected"
+
+
+def test_strand_walk_orients_like_the_reference():
+    rng = random.Random(12)
+    cases = [[tuple(map(int, q)) for q in _PD_X.findall(e.source)]
+             for e in bundled_corpus() if e.source.lstrip().startswith("PD")]
+    assert cases
+    # strands that only pass over: the successor-label rule decides
+    cases += [[(1, 3, 2, 4), (2, 4, 1, 3)], [(1, 2, 3, 2)], [(1, 1, 2, 2)]]
+    for _ in range(400):  # relabeled, shuffled and over-mirrored braid closures
+        strands = rng.randint(2, 5)
+        word = [rng.choice((-1, 1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 12))]
+        quads = [tuple(map(int, q))
+                 for q in _PD_X.findall(serialize(parse_braid_word(word, strands)))]
+        labels = sorted({e for q in quads for e in q})
+        relabel = dict(zip(labels, rng.sample(labels, len(labels))))
+        quads = [tuple(relabel[e] for e in q) for q in quads]
+        rng.shuffle(quads)
+        cases.append([(a, d, c, b) if rng.random() < 0.3 else (a, b, c, d)
+                      for a, b, c, d in quads])
+    rejected = 0
+    for _ in range(1500):  # random quads: both must reject the same ones
+        n = rng.randint(1, 4)
+        labels = rng.sample(range(1, 2 * n + 1), 2 * n) * 2
+        rng.shuffle(labels)
+        if rng.random() < 0.1:
+            labels[0] = labels[1]
+        quads = [tuple(labels[4 * i:4 * i + 4]) for i in range(n)]
+        rejected += _flags(reference_over_directions, quads) == "rejected"
+        cases.append(quads)
+    assert rejected > 100
+    for quads in cases:
+        assert _flags(_infer_over_directions, quads) == \
+            _flags(reference_over_directions, quads), quads

@@ -172,7 +172,7 @@ def test_shared_values_neither_hide_nor_merge_failures(monkeypatch):
         error = f"error: {division.value}"
         monkeypatch.setattr(verify_mod, "homfly_unreduced",
                             lambda *args, **kwargs: corrupted)
-        reports = run_link_checks(entry.name, d, range(1, 7), skein_sites=False)
+        reports = run_link_checks(entry.name, d, range(1, 7))
         monkeypatch.undo()
         alone = verify_polynomial_identities(d, homfly=corrupted)
         assert reports[0].checks[:len(alone)] == alone, entry.name
