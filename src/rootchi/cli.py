@@ -86,6 +86,11 @@ def cmd_verify(args) -> int:
             return EXIT_IO
     else:
         entries = corpus_mod.bundled_corpus()
+    for e in entries:
+        for key in e.expected:
+            n = corpus_mod.expected_order(key)
+            if n is not None:
+                _check_n_bound(n)
     n_values = list(args.n_range)
     payloads = [(e.name, e.source, e.expected, n_values) for e in entries]
     # the pool starts every worker at once, so never more than links or cores

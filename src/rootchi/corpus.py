@@ -9,6 +9,8 @@ from importlib import resources
 from .linkdiag import DiagramError, LinkDiagram, parse_link
 
 _EXPECT = re.compile(r"#\s*expect\s+(\S+)\s+(\S+)\s*:\s*(.+?)\s*$")
+_EXPECT_KEY = re.compile(r"alexander|homfly_(?:unreduced|reduced|middle)"
+                         r"|sln_([1-9][0-9]*)_(?:reduced|unreduced)")
 
 
 @dataclass
@@ -22,9 +24,25 @@ class CorpusEntry:
         return LinkDiagram(d.crossings, d.unknot_count, self.name)
 
 
+def expected_order(key: str) -> int | None:
+    """The n of an ``sln_<n>_reduced`` or ``sln_<n>_unreduced`` expect key,
+    None for the keys without n (``alexander`` and ``homfly_*``).  Any other
+    key raises ``DiagramError``."""
+    m = _EXPECT_KEY.fullmatch(key)
+    if not m:
+        raise DiagramError(f"unknown expect key {key!r}")
+    if m.group(1) is None:
+        return None
+    try:
+        return int(m.group(1))
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise DiagramError("an expect key's n has too many digits") from None
+
+
 def parse_corpus(text: str) -> list[CorpusEntry]:
     """Lines ``name: PD[...]`` / ``name: BR[...]``; comments may carry
-    ``# expect <name> <invariant>: <value>`` directives."""
+    ``# expect <name> <invariant>: <value>`` directives, whose invariant
+    ``expected_order`` must accept."""
     entries: dict[str, CorpusEntry] = {}
     expects: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -34,6 +52,10 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         if line.startswith("#"):
             m = _EXPECT.match(line)
             if m:
+                try:
+                    expected_order(m.group(2))
+                except DiagramError as e:
+                    raise DiagramError(f"line {lineno}: {e}") from None
                 expects.append((m.group(1), m.group(2), m.group(3)))
             continue
         if ":" not in line:
@@ -54,7 +76,11 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
 
 def load_corpus_file(path: str) -> list[CorpusEntry]:
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DiagramError(f"corpus is not UTF-8: {e}") from None
+    return parse_corpus(text)
 
 
 def bundled_corpus() -> list[CorpusEntry]:

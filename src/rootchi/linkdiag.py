@@ -9,8 +9,13 @@ edges into closed oriented components.
 
 One walk, ``_walk``, follows each component from its smallest edge label;
 ``normalize``, ``canonical_key``, ``first_non_descending`` and
-``LinkDiagram.components`` all read it.  The walk assumes a valid diagram
-and checks only that the edges close up into strands.  The full check,
+``LinkDiagram.components`` all read it.  ``canonical_key``, the skein memo
+key, restarts each component of the walk at the least rotation of its word
+of (sign, under) letters, so relabeled copies of a diagram share one key
+while the key still describes the diagram completely.
+
+The walk assumes a valid diagram and checks only that the edges close up
+into strands.  The full check,
 ``validate`` (signs, labels, then the walk), runs where a diagram enters:
 in ``make_diagram``, in ``skein_resolve``, and once at the top of
 ``skein.homfly_unreduced`` and ``alexoracle.alex_matrix_poly``, not at each
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 
 MAX_STRANDS = 200  # bound on braid strands and on split-unknot U tokens
@@ -120,15 +126,6 @@ def _walk(crossings) -> tuple[list[list[int]], dict[int, tuple[int, bool, int]]]
     return cycles, step
 
 
-def _relabeled(crossings) -> list[tuple[int, int, int, int, int]]:
-    """(sign, under_in, under_out, over_in, over_out) of each crossing, with
-    the edges relabeled 1..2c in traversal order."""
-    cycles, _ = _walk(crossings)
-    r = {e: k for k, e in enumerate((e for cycle in cycles for e in cycle), 1)}
-    return [(c.sign, r[c.under_in], r[c.under_out], r[c.over_in], r[c.over_out])
-            for c in crossings]
-
-
 def validate(d: LinkDiagram) -> None:
     if d.unknot_count < 0:
         raise DiagramError("negative unknot count")
@@ -143,7 +140,10 @@ def validate(d: LinkDiagram) -> None:
 
 def normalize(d: LinkDiagram) -> LinkDiagram:
     """Relabel edges 1..2c in traversal order; crossing order is preserved."""
-    return LinkDiagram(tuple(Crossing(*c) for c in _relabeled(d.crossings)),
+    cycles, _ = _walk(d.crossings)
+    r = {e: k for k, e in enumerate((e for cycle in cycles for e in cycle), 1)}
+    return LinkDiagram(tuple(Crossing(c.sign, r[c.under_in], r[c.under_out],
+                                      r[c.over_in], r[c.over_out]) for c in d.crossings),
                        d.unknot_count, d.name)
 
 
@@ -155,18 +155,65 @@ def make_diagram(crossings, unknot_count: int = 0, name: str | None = None) -> L
     return normalize(d)
 
 
-def canonical_key(d: LinkDiagram):
-    """Hashable encoding of the diagram; used as the skein memo key.
+def _least_rotation(word) -> int:
+    """Start of the least rotation of a cyclic word, by Booth's algorithm
+    (Booth 1980): one pass over the doubled word with a failure function.
+    Where several starts give the least rotation, the first is returned."""
+    s = word + word
+    fail = [-1] * len(s)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and sj != s[k]:
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
-    The key is that of ``normalize(d)``: it describes the diagram completely,
-    so equal keys mean the same diagram up to edge labels and crossing order.
-    It is stable under reordering the crossings and under any
-    order-preserving relabeling of the edges, because the walk starts each
-    component at its smallest label.  It is not canonical: a relabeling that
-    moves a component's smallest label to another edge, such as a cyclic
-    shift of the labels of a T(3,4) closure, changes the key.
+
+def canonical_key(d: LinkDiagram):
+    """Hashable encoding of the diagram up to relabeling; the skein memo key.
+
+    Each component is read as a cyclic word with one letter per pass, the
+    crossing's sign and whether the pass goes under.  The component starts
+    at the least rotation of its word (``_least_rotation``), and the
+    components are ordered by their rotated words.  The key is (component
+    lengths, the words one after another, for each pass the position of the
+    other pass through its crossing, the split unknot count).  It describes
+    the diagram completely, so equal keys mean the same diagram up to edge
+    labels and crossing order, and a memo hit never changes a value.
+
+    Where a word is periodic, or two components have equal words, the walk
+    order (each component from its smallest edge label) breaks the tie.  The
+    key stays complete there but two relabelings of one diagram may differ;
+    without such ties any relabeling and crossing order give one key.
     """
-    return (tuple(sorted(_relabeled(d.crossings))), d.unknot_count)
+    cycles, step = _walk(d.crossings)
+    signs = [c.sign for c in d.crossings]
+    strands = []
+    for cycle in cycles:
+        word = [2 * signs[step[e][0]] + step[e][1] for e in cycle]  # -2, -1, 2 or 3
+        k = _least_rotation(word)
+        strands.append((word[k:] + word[:k], cycle[k:] + cycle[:k]))
+    strands.sort(key=itemgetter(0))  # stable: equal words keep walk order
+    lengths, letters, edges = [], [], []
+    for word, cycle in strands:
+        lengths.append(len(word))
+        letters += word
+        edges += cycle
+    position = dict(zip(edges, range(len(edges))))
+    partner = [0] * len(edges)
+    for c in d.crossings:
+        under, over = position[c.under_in], position[c.over_in]
+        partner[under], partner[over] = over, under
+    return tuple(lengths), tuple(letters), tuple(partner), d.unknot_count
 
 
 # -- PD notation ---------------------------------------------------------------

@@ -115,9 +115,12 @@ def homfly_unreduced(d: LinkDiagram, max_crossings: int | None = None,
     """P(L) in (a, z); split unknot components multiply in the unknot value.
 
     ``memo`` maps ``canonical_key`` of each diagram the recursion visits to
-    its P.  A caller may pass the same dict to several calls so that they
-    share subdiagrams; the key describes a diagram completely, so a filled
-    memo never changes a result.  Without one each call starts empty.
+    its P.  The key identifies a diagram up to relabeling of its edges and
+    order of its crossings, so isomorphic subdiagrams, met under different
+    labels, share one entry.  A caller may pass the same dict to several
+    calls so that they share subdiagrams; the key describes a diagram
+    completely, so a filled memo never changes a result.  Without one each
+    call starts empty.
     ``d`` is validated here once; the recursion below does not revalidate.
     """
     validate(d)

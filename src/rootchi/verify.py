@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .alexoracle import alex_matrix_poly, normalize_symmetric
+from .corpus import expected_order
 from .cyclo import CycloNum, eval_at_root, root
 from .gradings import eval_exponent, hfk_phase, hfk_shift_spec, koszul_factor
 from .laurent import (LaurentPoly, PolyError, RationalPair, one, serialize,
@@ -172,10 +173,10 @@ class LinkValues:
     """The derived invariants of one link, each computed on first use and kept.
 
     ``run_link_checks`` hands one holder to every check of a link, so a value
-    several checks need (P, Delta, the sl(n) polynomials and their values at
-    roots of unity) is computed once per link and n.  Only identical
-    computations are shared; the two sides of one check never come from one
-    value.  A computation that raises keeps nothing, so each check that needs
+    several checks need (P, Delta, the hat polynomial, the sl(n) polynomials
+    and their values at roots of unity) is computed once per link and n.
+    Only identical computations are shared; the two sides of one check never
+    come from one value.  A computation that raises keeps nothing, so each check that needs
     the value meets the error again inside its own guard.  ``homfly`` and
     ``delta`` override the computed P and Delta.
     """
@@ -208,6 +209,11 @@ class LinkValues:
 
     def delta(self) -> LaurentPoly:
         return self._keep("delta", lambda: alexander(self.d, unreduced=self.homfly()))
+
+    def hat_delta(self) -> LaurentPoly:
+        """(t^(-1/2) - t^(1/2))^(l-1) * Delta, the hat theory's prediction."""
+        return self._keep("hat_delta",
+                          lambda: (-_S) ** (self.d.components - 1) * self.delta())
 
     def sln(self, n: int, reduced: bool) -> LaurentPoly:
         """One a -> q^n substitution per n gives the unreduced polynomial; the
@@ -326,8 +332,7 @@ def verify_thm_hfk(d: LinkDiagram, n: int,
         chi_unprimed = hfk_phase(ell, n) * ev_minus
         chi_primed = v.delta_at(n, eval_exponent("hfk_primed", n))
         shift_factor = root(n, hfk_shift_spec("reduced", ell, n).frac_shift_units)
-        hat_poly = (-_S) ** (ell - 1) * v.delta()    # (t^(-1/2) - t^(1/2))^(l-1) Delta
-        hat_eval = eval_at_root(hat_poly, n, at_minus)
+        hat_eval = eval_at_root(v.hat_delta(), n, at_minus)
         return [
             _check(f"hfk{n}_shift_consistency", chi_primed,
                    shift_factor * chi_unprimed),
@@ -421,12 +426,11 @@ def run_link_checks(name: str, d: LinkDiagram, n_values,
 
 
 def _expected_value(values: LinkValues, key: str) -> LaurentPoly:
+    """The value an expect key names; an unknown key raises ``DiagramError``."""
+    n = expected_order(key)
+    if n is not None:
+        return values.sln(n, reduced=not key.endswith("_unreduced"))
     getters = {"alexander": values.delta, "homfly_unreduced": values.homfly,
                "homfly_reduced": values.homfly_reduced,
                "homfly_middle": values.homfly_middle}
-    if key in getters:
-        return getters[key]()
-    if key.startswith("sln_"):
-        _, num, variant = key.split("_")
-        return values.sln(int(num), reduced=(variant == "reduced"))
-    raise ValueError(f"unknown expected-value key {key!r}")
+    return getters[key]()

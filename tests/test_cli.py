@@ -212,6 +212,34 @@ def test_verify_n_range_bound(tmp_path, capsys, n, code):
     assert err.startswith("resource bound:") == (code == 3)
 
 
+@pytest.mark.parametrize("key, code", [
+    ("nonsense", 2), ("sln_x_reduced", 2), ("sln_2", 2), ("sln_2_reduced_x", 2),
+    ("sln_0_reduced", 2), (f"sln_{'9' * 5000}_reduced", 2),
+    (f"sln_{MAX_N + 1}_unreduced", 3), ("sln_200000_reduced", 3),
+    (f"sln_{MAX_N}_reduced", 1),  # a valid key: only its real check fails
+])
+def test_verify_expect_keys_are_validated_before_any_work(tmp_path, capsys, key, code):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(f"tref: BR[2; 1 1 1]\n# expect tref {key}: 1\n")
+    got, out, err = run_cli(["verify", "--corpus", str(corpus), "--n-range", "1..2"],
+                            capsys)
+    assert got == code
+    if code == 1:
+        assert f"FAIL tref (n=0) expected_{key}" in out
+    else:
+        assert out == ""
+        assert err.startswith("resource bound:" if code == 3 else "error: ")
+
+
+def test_verify_corpus_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"tref: BR[2; 1 1 1]\n# caf\xff\n")
+    code, out, err = run_cli(["verify", "--corpus", str(corpus)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
 def test_complex_chi_single_generator(tmp_path, capsys):
     f = tmp_path / "c.json"
     f.write_text(json.dumps({"n": 1, "generators": [{"name": "x", "deg_times_n": 0}],

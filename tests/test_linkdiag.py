@@ -7,7 +7,8 @@ from rootchi.corpus import bundled_corpus
 from rootchi.linkdiag import (_PD_X, Crossing, DiagramError, LinkDiagram, SkeinSite,
                               _infer_over_directions, canonical_key, diagram_stats,
                               normalize, parse_braid, parse_braid_word, parse_link,
-                              parse_pd, serialize, simplify, skein_resolve)
+                              parse_pd, serialize, simplify, skein_resolve,
+                              switch_crossing)
 from rootchi.skein import homfly_unreduced
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -109,6 +110,107 @@ def test_canonical_key_ignores_labels_and_order():
     d1 = parse_pd(TREFOIL_PD)
     d2 = parse_pd(serialize(d1))
     assert canonical_key(d1) == canonical_key(d2)
+
+
+def decode_key(key) -> LinkDiagram:
+    """The diagram a canonical key describes, its edges labeled 1..2c by
+    position in the key."""
+    lengths, word, partner, unknots = key
+    successor, start = {}, 0
+    for length in lengths:
+        for p in range(start, start + length):
+            successor[p] = p + 1 if p + 1 < start + length else start
+        start += length
+    crossings = []
+    for p, letter in enumerate(word):
+        under = letter % 2
+        if under:
+            q = partner[p]
+            crossings.append(Crossing((letter - under) // 2, p + 1, successor[p] + 1,
+                                      q + 1, successor[q] + 1))
+    return LinkDiagram(tuple(crossings), unknots)
+
+
+def key_has_ties(key) -> bool:
+    """Whether a component's word is periodic or two components share a word,
+    the cases where the key falls back to walk order."""
+    lengths, word, _, _ = key
+    words, start = [], 0
+    for length in lengths:
+        words.append(word[start:start + length])
+        start += length
+    periodic = any(w in (w[k:] + w[:k] for k in range(1, len(w))) for w in words)
+    return periodic or len(set(words)) < len(words)
+
+
+def relabeled(d: LinkDiagram, rng: random.Random) -> LinkDiagram:
+    """d with its edges sent to random distinct labels and its crossings shuffled."""
+    edges = sorted({e for c in d.crossings for e in c.edges()})
+    new = dict(zip(edges, rng.sample(range(1, 10 * len(edges) + 2), len(edges))))
+    crossings = [Crossing(c.sign, *(new[e] for e in c.edges())) for c in d.crossings]
+    rng.shuffle(crossings)
+    return LinkDiagram(tuple(crossings), d.unknot_count)
+
+
+def test_canonical_key_ignores_a_cyclic_shift_of_torus_labels():
+    t34 = parse_braid("BR[3; 1 2 1 2 1 2 1 2]")
+    m = 2 * len(t34.crossings)
+    for s in range(1, m):
+        shift = lambda e: (e + s - 1) % m + 1
+        shifted = LinkDiagram(tuple(Crossing(c.sign, *map(shift, c.edges()))
+                                    for c in t34.crossings))
+        assert canonical_key(shifted) == canonical_key(t34), s
+
+
+def test_canonical_key_is_invariant_without_ties():
+    rng = random.Random(2024)
+    diagrams = [e.diagram() for e in bundled_corpus()]
+    for _ in range(40):
+        strands = rng.randint(2, 5)
+        word = [rng.choice((-1, 1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 12))]
+        diagrams.append(parse_braid_word(word, strands))
+    cases = tie_free = matched = 0
+    for d in diagrams:
+        key = canonical_key(d)
+        ties = key_has_ties(key)
+        for _ in range(20):
+            other = canonical_key(relabeled(d, rng))
+            cases += 1
+            tie_free += not ties
+            matched += other == key
+            assert ties or other == key, serialize(d)
+    # the torus closures have periodic words, yet their symmetry mostly keeps
+    # the key: ties are the minority, and mismatches rarer still
+    assert tie_free > cases / 2
+    assert matched > 0.9 * cases
+
+
+def test_canonical_key_decodes_to_the_diagram(corpus):
+    rng = random.Random(7)
+    diagrams = [d for _, d, _, _ in corpus.values()]
+    diagrams += [parse_braid("BR[3; 1 2 1 2 1 2 1 2]")]
+    diagrams += [parse_braid_word([rng.choice((-1, 1)) * rng.randint(1, 3)
+                                   for _ in range(rng.randint(1, 9))], 4)
+                 for _ in range(20)]
+    for d in diagrams:
+        key = canonical_key(d)
+        back = decode_key(key)
+        assert canonical_key(back) == key
+        assert back.stats() == d.stats()
+        assert homfly_unreduced(back) == homfly_unreduced(d)
+
+
+def test_canonical_key_tells_switched_and_mirrored_diagrams_apart(corpus):
+    for name, (_, d, _, _) in corpus.items():
+        key = canonical_key(d)
+        for i in range(len(d.crossings)):
+            assert canonical_key(switch_crossing(d, i)) != key, (name, i)
+        mirrored = d
+        for i in range(len(d.crossings)):
+            mirrored = switch_crossing(mirrored, i)
+        if d.writhe:
+            assert canonical_key(mirrored) != key, name
 
 
 @pytest.mark.parametrize("crossings, malformed_edges", [

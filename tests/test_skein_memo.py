@@ -46,6 +46,18 @@ def test_bound_holds_with_a_memo():
     assert homfly_unreduced(big, max_crossings=15, memo=memo) == p
 
 
+def test_memo_sizes_are_pinned(corpus):
+    # the recursion meets some diagrams again under other labels; each is one entry
+    memo: dict = {}
+    homfly_unreduced(parse_braid("BR[3; 1 2 1 2 1 2 1 2]"), memo=memo)
+    assert len(memo) == 49
+    _, nonafoil, _, _ = corpus["nonafoil"]  # the largest corpus entry, 9 crossings
+    assert max(len(d.crossings) for _, d, _, _ in corpus.values()) == len(nonafoil.crossings)
+    memo = {}
+    homfly_unreduced(nonafoil, memo=memo)
+    assert len(memo) == 31
+
+
 def test_repeated_link_checks_agree():
     d = parse_braid("BR[3; 1 -2 1 -2]")
     first = run_link_checks("fig8_closure", d, range(1, 4))

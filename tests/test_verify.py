@@ -129,6 +129,14 @@ def test_run_link_checks_report_shape():
     assert "ms" in data[0]
 
 
+def test_run_link_checks_fails_an_unknown_expect_key():
+    # parse_corpus refuses such a key; called directly, it is a failing check
+    reports = run_link_checks("tref", parse_link(TREFOIL_PD), [], expected={"sln_2": "1"})
+    failed = [c for c in reports[0].checks if not c.ok]
+    assert [c.name for c in failed] == ["expected_sln_2"]
+    assert "unknown expect key" in failed[0].lhs
+
+
 def test_run_link_checks_computes_each_sln_value_and_evaluation_once(monkeypatch):
     specialized = []
     real_specialize = skein_mod.specialize
