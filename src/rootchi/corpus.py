@@ -9,6 +9,7 @@ from importlib import resources
 from .linkdiag import DiagramError, LinkDiagram, parse_link
 
 _EXPECT = re.compile(r"#\s*expect\s+(\S+)\s+(\S+)\s*:\s*(.+?)\s*$")
+_DIRECTIVE = re.compile(r"#\s*expect(?:\s|$)")  # a comment whose first word is expect
 _EXPECT_KEY = re.compile(r"alexander|homfly_(?:unreduced|reduced|middle)"
                          r"|sln_([1-9][0-9]*)_(?:reduced|unreduced)")
 
@@ -42,7 +43,8 @@ def expected_order(key: str) -> int | None:
 def parse_corpus(text: str) -> list[CorpusEntry]:
     """Lines ``name: PD[...]`` / ``name: BR[...]``; comments may carry
     ``# expect <name> <invariant>: <value>`` directives, whose invariant
-    ``expected_order`` must accept."""
+    ``expected_order`` must accept.  A comment whose first word is
+    ``expect`` but that is not such a directive raises ``DiagramError``."""
     entries: dict[str, CorpusEntry] = {}
     expects: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -51,6 +53,9 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             continue
         if line.startswith("#"):
             m = _EXPECT.match(line)
+            if m is None and _DIRECTIVE.match(line):
+                raise DiagramError(f"line {lineno}: malformed expect directive {line!r}; "
+                                   "expected '# expect <name> <invariant>: <value>'")
             if m:
                 try:
                     expected_order(m.group(2))

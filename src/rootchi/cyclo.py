@@ -29,7 +29,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .laurent import LaurentPoly, PolyError
 
@@ -43,23 +43,30 @@ _POWER_TABLES = 32
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, constant term first:
-    x^m - 1 divided in integers by the monic Phi_d of each proper divisor d."""
+    the product of (x^d - 1)^mu(m/d) over the divisors d of m.  The factors
+    with mu = +1 are multiplied in first; each with mu = -1 is then divided
+    out, the quotient q of p by x^d - 1 read off by q_k = q_(k-d) - p_k."""
     if m < 1:
         raise ValueError("order must be positive")
-    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            div = cyclotomic_poly(d)
-            deg = len(div) - 1
-            quot = [0] * (len(num) - deg)
-            for k in range(len(quot) - 1, -1, -1):
-                c = quot[k] = num[k + deg]
-                for i, y in enumerate(div):
-                    num[k + i] -= c * y
-            if any(num):
-                raise AssertionError("cyclotomic division must be exact")
-            num = quot
-    return tuple(num)
+    # mu(m/d) is nonzero only where m/d is a product of distinct primes of m
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % r for r in range(2, p))]
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        d = m // prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        (down if mask.bit_count() % 2 else up).append(d)
+    poly = [1]
+    for d in up:
+        times = [0] * (len(poly) + d)
+        for k, c in enumerate(poly):
+            times[k] -= c
+            times[k + d] += c
+        poly = times
+    for d in down:
+        quot = [0] * (len(poly) - d)
+        for k in range(len(quot)):
+            quot[k] = (quot[k - d] if k >= d else 0) - poly[k]
+        poly = quot
+    return tuple(poly)
 
 
 def _phi(m: int) -> int:

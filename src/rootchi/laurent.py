@@ -13,6 +13,7 @@ equal polynomials therefore compare equal structurally and hash alike.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,41 +310,48 @@ def substitute(p: LaurentPoly, name: str, image: LaurentPoly | Rat) -> LaurentPo
 
 
 def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Return q with p = d*q exactly; raise ExactDivisionError otherwise."""
+    """Return q with p = d*q exactly; raise ExactDivisionError otherwise.
+
+    Long division in descending graded-lex order: the remainder's leading
+    terms come off a heap (a sorted term list already is one) and are
+    divided by d's leading term, the first of its sorted terms.  In each
+    variable a quotient exponent is at least p's least exponent less d's; a
+    leading term that gives a smaller one leaves a nonzero remainder.  Above
+    that floor graded lex is a well-order, so the division terminates.
+    """
     if d.is_zero():
         raise PolyError("division by zero polynomial")
     if p.is_zero():
         return zero()
     p1, d1, vs = LaurentPoly._aligned(p, d)
-    # shift both to nonnegative exponents so graded-lex division terminates
-    nshift = len(vs)
-    pmin = [min(e[i] for e, _ in p1) for i in range(nshift)]
-    dmin = [min(e[i] for e, _ in d1) for i in range(nshift)]
-    pshift = {tuple(a - b for a, b in zip(e, pmin)): c for e, c in p1}
-    dshift = {tuple(a - b for a, b in zip(e, dmin)): c for e, c in d1}
-
-    dlead = min(dshift, key=_term_sort_key)
-    dlead_c = dshift[dlead]
-    rem = dict(pshift)
+    floor = [min(e[i] for e, _ in p1) - min(e[i] for e, _ in d1) for i in range(len(vs))]
+    (dlead, dlead_c), dtail = d1[0], d1[1:]
+    rem = dict(p1)
+    heap = [(_term_sort_key(e), e) for e, _ in p1]
     quot: dict[tuple[int, ...], Fraction] = {}
-    while rem:
-        lead = min(rem, key=_term_sort_key)
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        c = rem.pop(lead, None)
+        if c is None:
+            continue  # cancelled after it was pushed
         diff = tuple(a - b for a, b in zip(lead, dlead))
-        if any(e < 0 for e in diff):
+        if any(e < f for e, f in zip(diff, floor)):
             raise ExactDivisionError(
                 f"nonzero remainder; leading term {lead} not divisible")
-        cq = rem[lead] / dlead_c
+        cq = c / dlead_c
         quot[diff] = cq
-        for e, c in dshift.items():
+        for e, dc in dtail:
             k = tuple(a + b for a, b in zip(diff, e))
-            nc = rem.get(k, Fraction(0)) - cq * c
-            if nc == 0:
-                rem.pop(k, None)
+            if k in rem:
+                nc = rem[k] - cq * dc
+                if nc:
+                    rem[k] = nc
+                else:
+                    del rem[k]
             else:
-                rem[k] = nc
-    shift = [a - b for a, b in zip(pmin, dmin)]
-    return LaurentPoly.make(vs, {tuple(a + b for a, b in zip(e, shift)): c
-                                 for e, c in quot.items()})
+                rem[k] = -cq * dc
+                heapq.heappush(heap, (_term_sort_key(k), k))
+    return LaurentPoly.make(vs, quot)
 
 
 # -- text form ----------------------------------------------------------------

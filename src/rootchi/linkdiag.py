@@ -11,8 +11,9 @@ One walk, ``_walk``, follows each component from its smallest edge label;
 ``normalize``, ``canonical_key``, ``first_non_descending`` and
 ``LinkDiagram.components`` all read it.  ``canonical_key``, the skein memo
 key, restarts each component of the walk at the least rotation of its word
-of (sign, under) letters, so relabeled copies of a diagram share one key
-while the key still describes the diagram completely.
+of (sign, under) letters, found by comparing the rotations that start on
+the least letter, so relabeled copies of a diagram share one key while the
+key still describes the diagram completely.
 
 The walk assumes a valid diagram and checks only that the edges close up
 into strands.  The full check,
@@ -156,26 +157,15 @@ def make_diagram(crossings, unknot_count: int = 0, name: str | None = None) -> L
 
 
 def _least_rotation(word) -> int:
-    """Start of the least rotation of a cyclic word, by Booth's algorithm
-    (Booth 1980): one pass over the doubled word with a failure function.
-    Where several starts give the least rotation, the first is returned."""
-    s = word + word
-    fail = [-1] * len(s)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and sj != s[k]:
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+    """Start of the least rotation of a cyclic word: only the starts on its
+    least letter are compared, and on a tie the first is returned.  Memo-key
+    words have a few dozen letters, too few for a linear-time algorithm such
+    as Booth's to pay off."""
+    least = min(word)
+    starts = [k for k, x in enumerate(word) if x == least]
+    if len(starts) == 1:
+        return starts[0]
+    return min(starts, key=lambda k: word[k:] + word[:k])
 
 
 def canonical_key(d: LinkDiagram):
@@ -183,12 +173,13 @@ def canonical_key(d: LinkDiagram):
 
     Each component is read as a cyclic word with one letter per pass, the
     crossing's sign and whether the pass goes under.  The component starts
-    at the least rotation of its word (``_least_rotation``), and the
-    components are ordered by their rotated words.  The key is (component
-    lengths, the words one after another, for each pass the position of the
-    other pass through its crossing, the split unknot count).  It describes
-    the diagram completely, so equal keys mean the same diagram up to edge
-    labels and crossing order, and a memo hit never changes a value.
+    at the least rotation of its word (``_least_rotation``, over the starts
+    on its least letter), and the components are ordered by their rotated
+    words.  The key is (component lengths, the words one after another, for
+    each pass the position of the other pass through its crossing, the split
+    unknot count).  It describes the diagram completely, so equal keys mean
+    the same diagram up to edge labels and crossing order, and a memo hit
+    never changes a value.
 
     Where a word is periodic, or two components have equal words, the walk
     order (each component from its smallest edge label) breaks the tie.  The
@@ -334,41 +325,24 @@ def parse_braid_word(word, strands: int, name: str | None = None) -> LinkDiagram
     for g in word:
         if g == 0 or abs(g) > strands - 1:
             raise DiagramError(f"generator {g} out of range for {strands} strands")
-    fresh = strands
     current = list(range(1, strands + 1))
-    initial = list(current)
     crossings = []
-    for g in word:
+    for k, g in enumerate(word):
         i = abs(g) - 1
         left, right = current[i], current[i + 1]
-        fresh += 1
-        new_left = fresh
-        fresh += 1
-        new_right = fresh
+        new_left, new_right = strands + 2 * k + 1, strands + 2 * k + 2
         if g > 0:
             # strand entering at position i passes over, landing at i+1
             crossings.append(Crossing(+1, right, new_left, left, new_right))
         else:
             crossings.append(Crossing(-1, left, new_right, right, new_left))
         current[i], current[i + 1] = new_left, new_right
-    # close up: final edge at each position is the same edge as the initial one
-    ident = {}
-    for init, fin in zip(initial, current):
-        if fin != init:
-            ident[fin] = init
-    unknots = 0
-    used = set()
-    for c in crossings:
-        used.update(c.edges())
-    def resolve(e: int) -> int:
-        while e in ident:
-            e = ident[e]
-        return e
-    closed = [Crossing(c.sign, resolve(c.under_in), resolve(c.under_out),
-                       resolve(c.over_in), resolve(c.over_out)) for c in crossings]
-    for init, fin in zip(initial, current):
-        if init == fin and init not in used:
-            unknots += 1
+    # close up: each position's last edge is its first edge.  A last edge is
+    # either a fresh label or the untouched first edge, which is in no
+    # crossing and closes into a split unknot.
+    closing = dict(zip(current, range(1, strands + 1)))
+    unknots = sum(fin == init for init, fin in enumerate(current, 1))
+    closed = [Crossing(c.sign, *(closing.get(e, e) for e in c.edges())) for c in crossings]
     return make_diagram(closed, unknots, name)
 
 
@@ -413,32 +387,22 @@ def switch_crossing(d: LinkDiagram, i: int) -> LinkDiagram:
     return replace(d, crossings=d.crossings[:i] + (swapped,) + d.crossings[i + 1:])
 
 
-def _merge_edges(crossings, keep: int, drop: int):
-    if keep == drop:
-        return crossings, True  # merging an edge with itself closes a circle
-    out = []
-    for c in crossings:
-        out.append(Crossing(c.sign,
-                            keep if c.under_in == drop else c.under_in,
-                            keep if c.under_out == drop else c.under_out,
-                            keep if c.over_in == drop else c.over_in,
-                            keep if c.over_out == drop else c.over_out))
-    return out, False
-
-
 def smooth_crossing(d: LinkDiagram, i: int) -> LinkDiagram:
     """Oriented smoothing: reconnect under-in to over-out and over-in to
     under-out, deleting the crossing."""
     c = d.crossings[i]
-    rest = list(d.crossings[:i] + d.crossings[i + 1:])
-    circles = 0
-    rest, closed = _merge_edges(rest, c.under_in, c.over_out)
-    if closed:
-        circles += 1
-    rest, closed = _merge_edges(rest, c.over_in, c.under_out)
-    if closed:
-        circles += 1
-    return LinkDiagram(tuple(rest), d.unknot_count + circles, d.name)
+    rest = d.crossings[:i] + d.crossings[i + 1:]
+    circles = d.unknot_count
+    for keep, drop in ((c.under_in, c.over_out), (c.over_in, c.under_out)):
+        if keep == drop:
+            circles += 1  # merging an edge with itself closes a circle
+            continue
+        rest = tuple(Crossing(x.sign,
+                              keep if x.under_in == drop else x.under_in,
+                              keep if x.under_out == drop else x.under_out,
+                              keep if x.over_in == drop else x.over_in,
+                              keep if x.over_out == drop else x.over_out) for x in rest)
+    return LinkDiagram(rest, circles, d.name)
 
 
 def skein_resolve(site: SkeinSite) -> tuple[LinkDiagram, LinkDiagram]:
@@ -451,37 +415,22 @@ def skein_resolve(site: SkeinSite) -> tuple[LinkDiagram, LinkDiagram]:
 
 
 def simplify(d: LinkDiagram) -> LinkDiagram:
-    """Remove first-Reidemeister kinks and collect crossingless circles.
+    """Remove first-Reidemeister kinks, collecting the circles they leave.
 
-    Preserves the underlying link; used to drive the skein recursion toward
-    crossingless base cases.
+    A kink is a crossing whose outgoing edge on one strand is the incoming
+    edge of the other.  Smoothing it closes that loop off as one circle and
+    joins the rest of the strand, so each kink is removed by
+    ``smooth_crossing`` less the one circle.  Preserves the underlying link;
+    used to drive the skein recursion toward crossingless base cases.
     """
-    crossings = list(d.crossings)
-    circles = d.unknot_count
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(crossings):
-            loop_a = c.under_out == c.over_in
-            loop_b = c.over_out == c.under_in
-            if loop_a and loop_b:
-                del crossings[i]
-                circles += 1
-                changed = True
+    while True:
+        for i, c in enumerate(d.crossings):
+            if c.under_out == c.over_in or c.over_out == c.under_in:
+                smoothed = smooth_crossing(d, i)
+                d = replace(smoothed, unknot_count=smoothed.unknot_count - 1)
                 break
-            if loop_a:
-                del crossings[i]
-                crossings, closed = _merge_edges(crossings, c.under_in, c.over_out)
-                circles += 1 if closed else 0
-                changed = True
-                break
-            if loop_b:
-                del crossings[i]
-                crossings, closed = _merge_edges(crossings, c.over_in, c.under_out)
-                circles += 1 if closed else 0
-                changed = True
-                break
-    return LinkDiagram(tuple(crossings), circles, d.name)
+        else:
+            return d
 
 
 def first_non_descending(d: LinkDiagram) -> int | None:

@@ -231,6 +231,24 @@ def test_verify_expect_keys_are_validated_before_any_work(tmp_path, capsys, key,
         assert err.startswith("resource bound:" if code == 3 else "error: ")
 
 
+@pytest.mark.parametrize("comment, code", [
+    ("# expect tref alexander t - 1 + t^-1", 2),  # no colon: a malformed directive
+    ("#expect tref", 2),
+    ("#   # expect <name> <invariant>: <polynomial>", 0),  # the format line
+    ("# expected values are in the literature", 0),
+])
+def test_verify_malformed_expect_directive_is_a_parse_error(tmp_path, capsys,
+                                                            comment, code):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(f"tref: BR[2; 1 1 1]\n{comment}\n")
+    got, out, err = run_cli(["verify", "--corpus", str(corpus), "--n-range", "1..2"],
+                            capsys)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: line 2: malformed expect directive")
+
+
 def test_verify_corpus_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_bytes(b"tref: BR[2; 1 1 1]\n# caf\xff\n")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -198,6 +199,30 @@ def test_inverse_at_small_and_large_orders(order):
     assert x * inv == 1
     one_vec = _reference_reduce(_convolve(x.coeffs, inv.coeffs), order)
     assert one_vec == (1,) + (0,) * (len(one_vec) - 1)
+
+
+@cache
+def _reference_cyclotomic_poly(m):
+    """The recursive construction that the Moebius product replaced: x^m - 1
+    divided in integers by the monic Phi_d of each proper divisor d."""
+    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
+    for d in range(1, m):
+        if m % d == 0:
+            div = _reference_cyclotomic_poly(d)
+            deg = len(div) - 1
+            quot = [0] * (len(num) - deg)
+            for k in range(len(quot) - 1, -1, -1):
+                c = quot[k] = num[k + deg]
+                for i, y in enumerate(div):
+                    num[k + i] -= c * y
+            assert not any(num)
+            num = quot
+    return tuple(num)
+
+
+def test_cyclotomic_polys_match_the_reference():
+    for m in range(1, 401):
+        assert cyclotomic_poly(m) == _reference_cyclotomic_poly(m), m
 
 
 def test_cyclotomic_polys_are_integral_of_degree_phi():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootchi.laurent import (ExactDivisionError, PolyError, PolyParseError,
-                             RationalPair, VariableMismatchError, arith,
+from rootchi.laurent import (ExactDivisionError, LaurentPoly, PolyError,
+                             PolyParseError, RationalPair, VariableMismatchError, arith,
                              exact_div, mono, one, parse_poly, serialize,
                              substitute, var, zero)
 
@@ -72,6 +72,19 @@ def test_exact_div_examples():
     assert exact_div(q ** 2 - q ** -2, q - q ** -1) == q + q ** -1
     with pytest.raises(ExactDivisionError):
         exact_div(q ** 3 + 1, q - q ** -1)
+
+
+def test_exact_div_stops_at_the_quotient_floor():
+    # the quotient's t-exponents lie in [-5 - 0, 0 - 1]; 1 + t^-5 = t^-5 (1 + t)(...)
+    assert exact_div(1 + t ** -5, 1 + t) == t ** -1 - t ** -2 + t ** -3 - t ** -4 + t ** -5
+    with pytest.raises(ExactDivisionError):  # t = -1 is no root of 1 + t^-4
+        exact_div(1 + t ** -4, 1 + t)
+
+
+def test_exact_div_quantum_integer_200():
+    want = LaurentPoly.make(("q",), {(2 * (199 - 2 * k),): 1 for k in range(200)})
+    assert len(want.terms) == 200
+    assert exact_div(q ** 200 - q ** -200, q - q ** -1) == want
 
 
 def test_serialize_parse_examples():
@@ -176,7 +189,7 @@ def _assert_canonical(p):
 
 
 @given(small_poly(), small_poly(("q", "t")), st.integers(0, 3))
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)  # substitute(p * q ** 4, "q", r) can be slow
 def test_results_are_canonical(p, r, k):
     results = [p + r, p - r, r - p, p * r, p ** k, r ** k,
                substitute(p, "a", t ** 2 * q ** -1),

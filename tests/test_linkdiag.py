@@ -5,10 +5,11 @@ import pytest
 from rootchi.alexoracle import alex_matrix_poly
 from rootchi.corpus import bundled_corpus
 from rootchi.linkdiag import (_PD_X, Crossing, DiagramError, LinkDiagram, SkeinSite,
-                              _infer_over_directions, canonical_key, diagram_stats,
+                              _infer_over_directions, _least_rotation, canonical_key,
+                              diagram_stats, first_non_descending, make_diagram,
                               normalize, parse_braid, parse_braid_word, parse_link,
                               parse_pd, serialize, simplify, skein_resolve,
-                              switch_crossing)
+                              smooth_crossing, switch_crossing)
 from rootchi.skein import homfly_unreduced
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -314,3 +315,112 @@ def test_strand_walk_orients_like_the_reference():
     for quads in cases:
         assert _flags(_infer_over_directions, quads) == \
             _flags(reference_over_directions, quads), quads
+
+
+def test_least_rotation_matches_brute_force():
+    rng = random.Random(16)
+    for n in range(1, 65):
+        for _ in range(8):
+            alphabet = rng.choice([(-2, -1, 2, 3), (2, 3), (-1,)])
+            block = [rng.choice(alphabet) for _ in range(rng.choice(
+                [b for b in range(1, n + 1) if n % b == 0]))]
+            w = block * (n // len(block))  # periodic unless the block is all of w
+            assert _least_rotation(w) == min(range(n), key=lambda k: w[k:] + w[:k]), w
+
+
+def reference_parse_braid_word(word, strands):
+    """The braid closure that the one-map closure replaced: it followed chains
+    of identified labels and counted untouched, unused positions as unknots."""
+    fresh = strands
+    current = list(range(1, strands + 1))
+    initial = list(current)
+    crossings = []
+    for g in word:
+        i = abs(g) - 1
+        left, right = current[i], current[i + 1]
+        new_left, new_right = fresh + 1, fresh + 2
+        fresh += 2
+        if g > 0:
+            crossings.append(Crossing(+1, right, new_left, left, new_right))
+        else:
+            crossings.append(Crossing(-1, left, new_right, right, new_left))
+        current[i], current[i + 1] = new_left, new_right
+    ident = {fin: init for init, fin in zip(initial, current) if fin != init}
+    used = {e for c in crossings for e in c.edges()}
+
+    def resolve(e):
+        while e in ident:
+            e = ident[e]
+        return e
+    closed = [Crossing(c.sign, *map(resolve, c.edges())) for c in crossings]
+    unknots = sum(init == fin and init not in used for init, fin in zip(initial, current))
+    return make_diagram(closed, unknots)
+
+
+def _reference_merge(crossings, keep, drop):
+    if keep == drop:
+        return crossings, True
+    return [Crossing(c.sign, *(keep if e == drop else e for e in c.edges()))
+            for c in crossings], False
+
+
+def reference_simplify(d):
+    """The kink removal that smoothing replaced: three cases, each merging
+    edges itself."""
+    crossings = list(d.crossings)
+    circles = d.unknot_count
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(crossings):
+            loop_a = c.under_out == c.over_in
+            loop_b = c.over_out == c.under_in
+            if loop_a and loop_b:
+                del crossings[i]
+                circles += 1
+                changed = True
+                break
+            if loop_a:
+                del crossings[i]
+                crossings, closed = _reference_merge(crossings, c.under_in, c.over_out)
+                circles += 1 if closed else 0
+                changed = True
+                break
+            if loop_b:
+                del crossings[i]
+                crossings, closed = _reference_merge(crossings, c.over_in, c.under_out)
+                circles += 1 if closed else 0
+                changed = True
+                break
+    return LinkDiagram(tuple(crossings), circles)
+
+
+def _same(d, e) -> bool:
+    return (d.crossings == e.crossings and d.unknot_count == e.unknot_count
+            and canonical_key(d) == canonical_key(e))
+
+
+def test_closure_and_kink_removal_match_the_references():
+    rng = random.Random(1980)
+    nodes = 0
+    for _ in range(150):
+        strands = rng.randint(2, 6)
+        top = rng.randint(1, strands - 1)  # positions past top + 1 stay idle
+        word = [rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(rng.randint(1, 9))]
+        d = parse_braid_word(word, strands)
+        assert _same(d, reference_parse_braid_word(word, strands)), word
+        assert d.unknot_count >= strands - top - 1
+        stack, seen = [d], set()  # the skein tree, each diagram expanded once
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            s = simplify(node)
+            assert _same(s, reference_simplify(node)), (word, node)
+            key = canonical_key(s)
+            if not s.crossings or key in seen:
+                continue
+            seen.add(key)
+            bad = first_non_descending(s)
+            if bad is not None:
+                stack += [switch_crossing(s, bad), smooth_crossing(s, bad)]
+    assert nodes > 2000
