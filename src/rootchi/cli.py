@@ -125,10 +125,15 @@ def cmd_verify(args) -> int:
 
 
 def _read_complex(path: str):
-    if path in (None, "-"):
-        return complex_from_json(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return complex_from_json(fh.read())
+    try:
+        if path in (None, "-"):
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ComplexError("shape", f"complex is not UTF-8: {e}") from None
+    return complex_from_json(text)
 
 
 def _fmt_deg(units: int, n: int) -> str:

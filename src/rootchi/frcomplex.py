@@ -8,6 +8,11 @@ differential.
 
 A differential is held once, as integer columns over one positive denominator;
 checks and elimination run on those integers (scaling keeps kernels and ranks).
+Complexes and graded modules are valid by construction: their constructors
+(and so ``dataclasses.replace``) run every check, once, on the data that
+enters.  Operations whose result is valid whenever their checked inputs are
+(shift, cones after the chain-map check, the Koszul tensor, homology as a
+complex) assemble it without checking it again.
 The spectral sequence of a filtration is read off one reduction per block of
 d: each source whose reduced image is nonzero pairs with the target at its
 pivot, and the pair lives on the pages up to their difference in level.
@@ -26,6 +31,7 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .cyclo import CycloNum, root_sum
@@ -34,7 +40,8 @@ from .skein import ResourceBoundError
 Matrix = tuple[tuple[Fraction, ...], ...]
 Columns = tuple[dict[int, int], ...]   # cols[j][i]: nonzero integer entry (i, j)
 _ZERO = Fraction(0)
-_EXACT = (int, Fraction)
+_INT = {int}
+_EXACT = {int, Fraction}
 # largest n read from JSON or the command line: the power table of
 # Q(zeta_2n) holds 2n * phi(2n) integers, so its time and memory grow as n^2
 MAX_N = 200
@@ -51,23 +58,37 @@ class ComplexError(ValueError):
         self.kind = kind
 
 
+def _exact(x, i: int, j: int):
+    """Entry (i, j) as an int or a Fraction; a bool or a float is refused."""
+    if type(x) in _EXACT:
+        return x
+    if isinstance(x, (bool, float)):
+        raise ComplexError("shape", f"entry ({i}, {j}) is the {type(x).__name__} {x!r}, "
+                                    "not an int or a Fraction")
+    return Fraction(x)
+
+
 def _columns(rows, nrows: int, ncols: int) -> tuple[Columns, int]:
     """Read a dense matrix once, row by row: its nonzero entries as integer
-    columns over one positive denominator, the lcm of their denominators."""
+    columns over one positive denominator, the lcm of their denominators.
+    A row of ints and Fractions is taken as it is; any other row is read
+    entry by entry, zero slots included."""
     if len(rows) != nrows:
         raise ComplexError("shape", f"expected {nrows} rows, got {len(rows)}")
     cols: list[dict] = [{} for _ in range(ncols)]
+    integral = True
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ComplexError("shape", f"expected {ncols} columns, got {len(row)}")
-        for j, x in enumerate(row):
-            if type(x) not in _EXACT:
-                if isinstance(x, float):
-                    raise ComplexError("shape", f"entry ({i}, {j}) is the float {x!r}, "
-                                                "not an int or a Fraction")
-                x = Fraction(x)
-            if x:
-                cols[j][i] = x
+        kinds = set(map(type, row))
+        if not kinds <= _INT:
+            integral = False
+            if not kinds <= _EXACT:
+                row = [_exact(x, i, j) for j, x in enumerate(row)]
+        for j in compress(range(ncols), row):
+            cols[j][i] = row[j]
+    if integral:
+        return tuple(cols), 1
     den = lcm(*(x.denominator for col in cols for x in col.values()))
     return tuple({i: x.numerator * (den // x.denominator) for i, x in col.items()}
                  for col in cols), den
@@ -103,13 +124,41 @@ def _apply(cols: Columns, vec: dict) -> dict:
 
 
 def _moved(col: dict, scale: int, offset: int = 0) -> dict:
+    """col scaled and its rows moved down by offset; col itself when that
+    changes nothing (columns are never mutated once built)."""
+    if scale == 1 and not offset:
+        return col
     return {i + offset: v * scale for i, v in col.items()}
+
+
+def _names(names, m: int) -> tuple[str, ...]:
+    """Generator names, x0, x1, ... when none are given."""
+    if names is None:
+        return tuple(f"x{i}" for i in range(m))
+    names = tuple(names)
+    if len(names) != m:
+        raise ComplexError("shape", "name count does not match generators")
+    return names
+
+
+def _check_square_zero(cols: Columns, den: int, names: tuple[str, ...]) -> None:
+    """d^2 = 0, walking only the nonzero entries, in integers: cols squares to
+    d^2 scaled by den squared."""
+    for j, col in enumerate(cols):
+        for i, s in _apply(cols, col).items():
+            raise ComplexError("d2", f"d^2({names[j]}) has {names[i]}-coefficient "
+                                     f"{Fraction(s, den * den)}")
 
 
 @dataclass(frozen=True, init=False)
 class FracComplex:
-    """d = ``cols`` / ``den``, read from the dense ``diff`` given (unchecked:
-    ``build`` checks); ``diff`` is a view built when first read."""
+    """A (1/n)Z-graded complex, valid by construction.
+
+    The constructor, and so ``dataclasses.replace``, runs every check of
+    ``build`` and raises ComplexError with the failing invariant.  It holds
+    d = ``cols`` / ``den``, read from the dense ``diff`` given; ``diff`` is a
+    view built when first read.  ``names`` may be None for x0, x1, ...
+    """
 
     n: int
     degrees: tuple[int, ...]          # degree*n per generator
@@ -118,7 +167,29 @@ class FracComplex:
     filtration: tuple[int, ...] | None = None
 
     def __init__(self, n, degrees, diff, names, filtration=None):
-        cols, den = _columns(diff, len(degrees), len(degrees))
+        _check_n(n)
+        degrees = _integers(degrees, "degree")
+        m = len(degrees)
+        cols, den = _columns(diff, m, m)
+        names = _names(names, m)
+        for j in range(m):
+            for i in cols[j]:
+                if degrees[i] != degrees[j] + n:
+                    raise ComplexError(
+                        "degree",
+                        f"d({names[j]}) hits {names[i]}: degree step "
+                        f"{Fraction(degrees[i] - degrees[j], n)} instead of 1")
+        _check_square_zero(cols, den, names)
+        if filtration is not None:
+            filtration = _integers(filtration, "filtration level")
+            if len(filtration) != m:
+                raise ComplexError("shape", "filtration length does not match generators")
+            for j in range(m):
+                for i in cols[j]:
+                    if filtration[i] < filtration[j]:
+                        raise ComplexError(
+                            "filtration",
+                            f"d({names[j]}) drops filtration {filtration[j]} -> {filtration[i]}")
         vars(self).update(n=n, degrees=degrees, names=names, filtration=filtration,
                           cols=cols, den=den)
 
@@ -134,56 +205,23 @@ class FracComplex:
 
 
 def _complex(n, degrees, names, filtration, cols: Columns, den: int) -> FracComplex:
-    """A FracComplex holding d = cols / den as given, unchecked."""
+    """A FracComplex holding d = cols / den as given, unchecked: only for
+    data that is valid by construction from checked complexes."""
     c = object.__new__(FracComplex)
     vars(c).update(n=n, degrees=degrees, names=names, filtration=filtration,
                    cols=cols, den=den)
     return c
 
 
+def _free(n: int, degrees: tuple[int, ...], names=None) -> FracComplex:
+    """The complex with zero differential on integer ``degrees``."""
+    return _complex(n, degrees, _names(names, len(degrees)), None,
+                    tuple({} for _ in degrees), 1)
+
+
 def build(n: int, degrees, diff, filtration=None, names=None) -> FracComplex:
     """Validate and build; raises ComplexError with the failing invariant."""
-    _check_n(n)
-    degrees = _integers(degrees, "degree")
-    m = len(degrees)
-    cols, den = _columns(diff, m, m)
-    return _from_columns(n, degrees, cols, den, filtration, names)
-
-
-def _from_columns(n: int, degrees: tuple[int, ...], cols: Columns, den: int,
-                  filtration=None, names=None) -> FracComplex:
-    """``build`` for d = cols / den, one column per degree and den >= 1."""
-    m = len(degrees)
-    if names is None:
-        names = tuple(f"x{i}" for i in range(m))
-    else:
-        names = tuple(names)
-        if len(names) != m:
-            raise ComplexError("shape", "name count does not match generators")
-    for j in range(m):
-        for i in cols[j]:
-            if degrees[i] != degrees[j] + n:
-                raise ComplexError(
-                    "degree",
-                    f"d({names[j]}) hits {names[i]}: degree step "
-                    f"{Fraction(degrees[i] - degrees[j], n)} instead of 1")
-    # d^2 = 0, walking only the nonzero entries, in integers: cols squares to
-    # d^2 scaled by den squared
-    for j in range(m):
-        for i, s in _apply(cols, cols[j]).items():
-            raise ComplexError("d2", f"d^2({names[j]}) has {names[i]}-coefficient "
-                                     f"{Fraction(s, den * den)}")
-    if filtration is not None:
-        filtration = _integers(filtration, "filtration level")
-        if len(filtration) != m:
-            raise ComplexError("shape", "filtration length does not match generators")
-        for j in range(m):
-            for i in cols[j]:
-                if filtration[i] < filtration[j]:
-                    raise ComplexError(
-                        "filtration",
-                        f"d({names[j]}) drops filtration {filtration[j]} -> {filtration[i]}")
-    return _complex(n, degrees, names, filtration, cols, den)
+    return FracComplex(n, degrees, diff, names, filtration)
 
 
 # -- exact elimination ------------------------------------------------------------
@@ -223,7 +261,7 @@ class Echelon:
     def place(self, row) -> int | None:
         """Add a row; the column of its new pivot, or None when it depends on
         the rows added before.  An all-int row is reduced as it is."""
-        if all(type(x) is int for x in row):
+        if set(map(type, row)) <= _INT:
             v = row
         else:
             den = lcm(*(x.denominator for x in row))
@@ -387,14 +425,16 @@ def homology_complex(c: FracComplex) -> FracComplex:
     degs = []
     for u, k in sorted(h.dims.items()):
         degs.extend([u] * k)
-    return _from_columns(c.n, tuple(degs), tuple({} for _ in degs), 1)
+    return _free(c.n, tuple(degs))
 
 
 def cone(f_matrix, x: FracComplex, y: FracComplex) -> FracComplex:
     """Mapping cone of a degree-zero chain map f: X -> Y.
 
     Generators are X shifted down by one followed by Y; the characteristic
-    satisfies chi(cone) = chi(Y) - chi(X).
+    satisfies chi(cone) = chi(Y) - chi(X).  Only f is checked: with X and Y
+    valid, a degree-preserving chain map makes d = [[-d_X, 0], [f, d_Y]]
+    raise the degree by one and square to zero.
     """
     if x.n != y.n:
         raise ComplexError("shape", "root orders differ")
@@ -414,7 +454,7 @@ def cone(f_matrix, x: FracComplex, y: FracComplex) -> FracComplex:
     cols += tuple(_moved(dy, den // y.den, x.dim) for dy in y.cols)
     degrees = tuple(u - x.n for u in x.degrees) + y.degrees
     names = tuple(f"x:{s}" for s in x.names) + tuple(f"y:{s}" for s in y.names)
-    return _from_columns(x.n, degrees, cols, den, names=names)
+    return _complex(x.n, degrees, names, None, cols, den)
 
 
 def unknot_hfkn(n: int) -> FracComplex:
@@ -422,7 +462,7 @@ def unknot_hfkn(n: int) -> FracComplex:
     _check_n(n)
     degs = [(1 - n) + 2 * k for k in range(n)]
     names = [f"U^{k}" for k in range(n)]
-    return _from_columns(n, tuple(degs), tuple({} for _ in degs), 1, names=names)
+    return _free(n, tuple(degs), names)
 
 
 # -- graded modules and the Koszul cube ------------------------------------------
@@ -430,15 +470,33 @@ def unknot_hfkn(n: int) -> FracComplex:
 
 @dataclass(frozen=True, init=False)
 class GradedModule:
-    """Finite-dimensional graded module with commuting degree-(2/n) maps."""
+    """Finite-dimensional graded module with commuting degree-(2/n) maps,
+    valid by construction: the constructor, and so ``dataclasses.replace``,
+    runs every check of ``build_module``.  It holds each map U_t as ``maps[t]``
+    = (cols, den), read from the dense ``endos`` given; ``endos`` is a view
+    built when first read."""
 
     n: int
     degrees: tuple[int, ...]
-    endos: tuple[Matrix, ...]         # view of ``maps`` (cols, den), built when first read
+    endos: tuple[Matrix, ...]
 
     def __init__(self, n, degrees, endos):
+        _check_n(n)
+        degrees = _integers(degrees, "degree")
         m = len(degrees)
-        vars(self).update(n=n, degrees=degrees, maps=tuple(_columns(e, m, m) for e in endos))
+        maps = tuple(_columns(e, m, m) for e in endos)
+        cols = [col for col, _ in maps]
+        for t, col in enumerate(cols):
+            for j in range(m):
+                if any(degrees[i] != degrees[j] + 2 for i in col[j]):
+                    raise ComplexError("degree", f"U_{t} does not raise degree by 2/n")
+        # U_s U_t and U_t U_s carry the same scale, the product of the two denominators
+        for s in range(len(cols)):
+            for t in range(s + 1, len(cols)):
+                for j in range(m):
+                    if _apply(cols[s], cols[t][j]) != _apply(cols[t], cols[s][j]):
+                        raise ComplexError("d2", f"U_{s} and U_{t} do not commute")
+        vars(self).update(n=n, degrees=degrees, maps=maps)
 
     def __getattr__(self, name):
         if name != "endos":
@@ -452,21 +510,8 @@ class GradedModule:
 
 
 def build_module(n: int, degrees, endos) -> GradedModule:
-    _check_n(n)
-    mod = GradedModule(n, _integers(degrees, "degree"), endos)
-    degrees, m = mod.degrees, mod.dim
-    cols = [col for col, _ in mod.maps]
-    for t, col in enumerate(cols):
-        for j in range(m):
-            if any(degrees[i] != degrees[j] + 2 for i in col[j]):
-                raise ComplexError("degree", f"U_{t} does not raise degree by 2/n")
-    # U_s U_t and U_t U_s carry the same scale, the product of the two denominators
-    for s in range(len(cols)):
-        for t in range(s + 1, len(cols)):
-            for j in range(m):
-                if _apply(cols[s], cols[t][j]) != _apply(cols[t], cols[s][j]):
-                    raise ComplexError("d2", f"U_{s} and U_{t} do not commute")
-    return mod
+    """Validate and build; raises ComplexError with the failing invariant."""
+    return GradedModule(n, degrees, endos)
 
 
 def koszul_tensor(mod: GradedModule) -> FracComplex:
@@ -475,7 +520,9 @@ def koszul_tensor(mod: GradedModule) -> FracComplex:
     Vertices are subsets S of the maps; the copy at S not containing i is
     shifted down by 1 - 2/n per missing map, and the edge in direction i
     applies U_i with the usual alternating sign.  The subset size is the
-    filtration level, which the differential raises by one.
+    filtration level, which the differential raises by one.  Nothing is
+    checked again: the module's degree and commuting checks make every edge
+    raise the degree by one and d square to zero.
     """
     k = len(mod.maps)
     n, m = mod.n, mod.dim
@@ -505,7 +552,7 @@ def koszul_tensor(mod: GradedModule) -> FracComplex:
                 col = cols[index[(s, g)]]
                 for h, v in u[g].items():
                     col[index[(target, h)]] = sign * v * (den // u_den)
-    return _from_columns(n, tuple(degrees), tuple(cols), den, filt, names)
+    return _complex(n, tuple(degrees), tuple(names), tuple(filt), tuple(cols), den)
 
 
 # -- spectral sequence of a filtered complex --------------------------------------
@@ -566,27 +613,34 @@ def spectral_sequence(c: FracComplex) -> SpectralSequence:
 
 
 def graded_homology_dims(c: FracComplex) -> dict[tuple[int, int], int]:
-    """Dimensions of the filtration's associated graded on homology."""
-    if c.filtration is None:
-        c = _complex(c.n, c.degrees, c.names, (0,) * c.dim, c.cols, c.den)
+    """Dimensions of the filtration's associated graded on homology.
+
+    In each degree one ``Echelon``, seeded with the image B of d, takes the
+    cycles Z_p of each filtered part F_p from the highest level p down.
+    F_p contains F_(p+1), so Z_(p+1) lies in Z_p and the rank after level p
+    is that of Z_p + B; the graded piece at p is the rank level p adds.  A
+    level with no generator of the degree adds nothing and is skipped.
+    """
+    filtration = c.filtration or (0,) * c.dim
+    levels = sorted(set(filtration), reverse=True)
     by_degree = _by_degree(c)
-    levels = sorted(set(c.filtration))
     out: dict[tuple[int, int], int] = {}
     for u, cols in by_degree.items():
         rows_out = by_degree.get(u + c.n, [])
-        image = [[c.cols[j].get(i, 0) for i in cols] for j in by_degree.get(u - c.n, [])]
-        image_rank = rank(image)
-
-        def filtered_part(p: int) -> int:
-            pos = [k for k, j in enumerate(cols) if c.filtration[j] >= p]
-            kern = _cycles(c, rows_out, [cols[k] for k in pos])
-            return rank([_scatter(w, pos, len(cols)) for _, w in kern] + image) - image_rank
-
-        parts = [filtered_part(p) for p in levels] + [0]
-        for k, p in enumerate(levels):
-            d = parts[k] - parts[k + 1]
-            if d:
-                out[(p, u)] = out.get((p, u), 0) + d
+        ech = Echelon([c.cols[j].get(i, 0) for i in cols] for j in by_degree.get(u - c.n, []))
+        before = len(ech.pivots)
+        pos: list[int] = []
+        added = {}
+        for p in levels:
+            grown = [k for k, j in enumerate(cols) if filtration[j] >= p]
+            if len(grown) > len(pos):
+                pos = grown
+                for _, w in _cycles(c, rows_out, [cols[k] for k in pos]):
+                    ech.add(_scatter(w, pos, len(cols)))
+                if len(ech.pivots) > before:
+                    added[p] = len(ech.pivots) - before
+                    before = len(ech.pivots)
+        out.update(((p, u), k) for p, k in reversed(added.items()))
     return out
 
 

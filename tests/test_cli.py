@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -391,6 +392,25 @@ def test_complex_hom(tmp_path, capsys):
     code, out, _ = run_cli(["complex", "hom", str(f)], capsys)
     assert code == 0
     assert out.splitlines() == ["deg -1/2: 1", "deg 1/2: 1"]
+
+
+@pytest.mark.parametrize("action", ["hom", "chi", "ss"])
+def test_complex_non_utf8_file_is_a_shape_error(tmp_path, capsys, action):
+    f = tmp_path / "bad.json"
+    f.write_bytes(b'{"n": 2, \xff}')
+    code, out, err = run_cli(["complex", action, str(f)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [shape]: ") and "UTF-8" in err
+
+
+def test_complex_non_utf8_stdin_is_a_shape_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b'{"n": 2, \xff}'),
+                                                       encoding="utf-8"))
+    code, out, err = run_cli(["complex", "hom", "-"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [shape]: ") and "UTF-8" in err
 
 
 @pytest.mark.slow

@@ -10,8 +10,8 @@ from rootchi.cyclo import CycloNum, root
 from rootchi.frcomplex import (ComplexError, Echelon, build, build_module,
                                chi_of_dims, complex_from_json, complex_to_json,
                                cone, euler_char, graded_homology_dims, homology,
-                               kernel, koszul_tensor, rank, shift,
-                               spectral_sequence, unknot_hfkn)
+                               homology_complex, kernel, koszul_tensor, rank,
+                               shift, spectral_sequence, unknot_hfkn)
 from rootchi.synth import random_chain_map, random_complex, random_graded_module
 
 F = Fraction
@@ -370,3 +370,94 @@ def test_spectral_sequence_never_builds_a_kernel(monkeypatch):
     assert calls == []
     assert graded_homology_dims(c) == ss.infinity
     assert calls
+
+
+# -- graded homology against the per-level route -----------------------------------
+
+
+def reference_graded_homology_dims(c):
+    """In each degree, dim (Z_p + B) / B for every level p, each from its own
+    kernel and rank; the graded piece at p is its drop to the next level up."""
+    filt = c.filtration or (0,) * c.dim
+    levels = sorted(set(filt))
+    d = c.diff
+    out = {}
+    for u in sorted(set(c.degrees)):
+        src = [j for j in range(c.dim) if c.degrees[j] == u]
+        tgt = [i for i in range(c.dim) if c.degrees[i] == u + c.n]
+        image = [[d[i][j] for i in src] for j in range(c.dim) if c.degrees[j] == u - c.n]
+        image_rank = rank(image)
+
+        def part(p):
+            pos = [k for k, j in enumerate(src) if filt[j] >= p]
+            cycles = []
+            for w in kernel([[d[i][src[k]] for k in pos] for i in tgt], len(pos)):
+                v = [F(0)] * len(src)
+                for k, x in zip(pos, w):
+                    v[k] = x
+                cycles.append(v)
+            return rank(cycles + image) - image_rank
+
+        parts = [part(p) for p in levels] + [0]
+        for k, p in enumerate(levels):
+            if parts[k] != parts[k + 1]:
+                out[(p, u)] = parts[k] - parts[k + 1]
+    return out
+
+
+def _graded_cases():
+    """Seeded filtered complexes: integral, rational, with levels that are
+    empty in most degrees, unfiltered; Koszul complexes and empty ones."""
+    rng = random.Random(17)
+    for k in range(80):
+        kind = ("integral", "rational", "empty levels", "unfiltered")[k % 4]
+        n = rng.randint(1, 4)
+        c = random_complex(rng, n, max_dim=10, filtered=kind != "unfiltered")
+        degrees, rows, filt = list(c.degrees), [list(row) for row in c.diff], c.filtration
+        if kind == "rational":
+            g = rng.randrange(c.dim)
+            s = F(rng.choice([2, -3, 5]), rng.choice([1, 7]))
+            rows = [[x * (s if i == g else 1) / (s if j == g else 1) for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)]
+        if kind == "empty levels":
+            # spread the levels apart and add one cycle alone at a level above them
+            filt = [3 * p + 1 for p in filt] + [20]
+            degrees.append(max(degrees) + 2 * n)
+            rows = [row + [0] for row in rows] + [[0] * (c.dim + 1)]
+        yield kind, build(n, degrees, rows, filtration=filt)
+    for k in range(12):
+        yield "koszul", koszul_tensor(random_graded_module(rng, rng.randint(1, 4), k % 4,
+                                                           max_dim=5))
+    yield "empty", build(2, [], [], filtration=[])
+    yield "empty", build(2, [], [])
+
+
+def test_graded_homology_matches_the_per_level_route(monkeypatch):
+    def refuse(c):
+        raise AssertionError("graded_homology_dims called spectral_sequence")
+
+    monkeypatch.setattr(frcomplex, "spectral_sequence", refuse)
+    kinds = set()
+    for kind, c in _graded_cases():
+        got = graded_homology_dims(c)
+        assert got == reference_graded_homology_dims(c), kind
+        assert sum(got.values()) == sum(homology(c).dims.values())
+        kinds.add(kind)
+    assert len(kinds) == 6
+
+
+def test_square_zero_is_checked_once_per_complex_that_enters(monkeypatch):
+    checked = []
+    check = frcomplex._check_square_zero
+    monkeypatch.setattr(frcomplex, "_check_square_zero",
+                        lambda *args: checked.append(1) or check(*args))
+    rng = random.Random(4)
+    x = random_complex(rng, 3, max_dim=8)
+    y = random_complex(rng, 3, max_dim=6)
+    assert len(checked) == 2
+    c = cone(random_chain_map(rng, x, y), x, y)
+    k = koszul_tensor(random_graded_module(rng, 3, 2, max_dim=5))
+    shift(c, 3), homology_complex(c), unknot_hfkn(3)
+    assert len(checked) == 2
+    build(k.n, k.degrees, k.diff, filtration=k.filtration)
+    assert len(checked) == 3

@@ -1,5 +1,7 @@
 """The integer-column form of a differential: never stale, always canonical,
-and validated exactly as the dense matrix it stands for."""
+and validated exactly as the dense matrix it stands for, by every
+constructor; what operations assemble from checked complexes equals ``build``
+of its own dense differential."""
 
 import random
 from dataclasses import replace
@@ -8,11 +10,11 @@ from math import lcm
 
 import pytest
 
-from rootchi.frcomplex import (ComplexError, FracComplex, build, build_module,
-                               complex_from_json, complex_to_json, cone,
-                               homology, homology_complex, koszul_tensor, shift,
-                               spectral_sequence, unknot_hfkn)
-from rootchi.synth import random_chain_map, random_complex
+from rootchi.frcomplex import (ComplexError, FracComplex, GradedModule, build,
+                               build_module, complex_from_json, complex_to_json,
+                               cone, homology, homology_complex, koszul_tensor,
+                               shift, spectral_sequence, unknot_hfkn)
+from rootchi.synth import random_chain_map, random_complex, random_graded_module
 
 F = Fraction
 
@@ -164,3 +166,104 @@ def test_non_numeric_entries_are_refused(entry, error):
         cone([[entry]], x, x)
     with pytest.raises(error):
         build_module(2, [0, 2], [[[0, 0], [entry, 0]]])
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_bool_entries_are_shape_errors(entry):
+    # False too: a zero slot is read like any other
+    assert kind_of(lambda: build(1, [0, 1], [[0, 0], [entry, 0]])) == "shape"
+    x = build(1, [0], [[0]])
+    assert kind_of(lambda: cone([[entry]], x, x)) == "shape"
+    assert kind_of(lambda: build_module(2, [0, 2], [[[0, 0], [entry, 0]]])) == "shape"
+
+
+# -- valid by construction -----------------------------------------------------------
+
+
+def outcome(call):
+    """The kind of ComplexError the call raises, or None when it succeeds."""
+    try:
+        call()
+    except ComplexError as e:
+        return e.kind
+    return None
+
+
+BAD_COMMUTE = [  # U_0 U_1 sends x0 to x3, U_1 U_0 sends it to 2 x3
+    [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+    [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0]],
+]
+
+
+def test_every_constructor_refuses_what_build_refuses():
+    square = ([0, 1, 2], [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert kind_of(lambda: build(1, *square)) == "d2"
+    assert kind_of(lambda: FracComplex(1, *square, None)) == "d2"
+    assert kind_of(lambda: replace(build(1, square[0], [[0] * 3] * 3), diff=square[1])) == "d2"
+    drop = ([0, 1], [[0, 0], [1, 0]], [1, 0])
+    assert kind_of(lambda: build(1, drop[0], drop[1], filtration=drop[2])) == "filtration"
+    assert kind_of(lambda: FracComplex(1, drop[0], drop[1], None, drop[2])) == "filtration"
+    assert kind_of(lambda: replace(build(1, drop[0], drop[1]), filtration=drop[2])) == "filtration"
+    assert kind_of(lambda: replace(build(1, drop[0], drop[1]), degrees=[0, 2])) == "degree"
+    assert kind_of(lambda: FracComplex(True, [0], [[0]], None)) == "shape"
+    assert kind_of(lambda: build_module(2, [0, 2, 2, 4], BAD_COMMUTE)) == "d2"
+    assert kind_of(lambda: GradedModule(2, [0, 2, 2, 4], BAD_COMMUTE)) == "d2"
+    one = build_module(2, [0, 2, 2, 4], BAD_COMMUTE[:1])
+    assert kind_of(lambda: replace(one, endos=BAD_COMMUTE)) == "d2"
+    assert kind_of(lambda: GradedModule(2, [0, 1], [[[0, 0], [1, 0]]])) == "degree"
+    assert kind_of(lambda: GradedModule("2", [0, 2], [])) == "shape"
+
+
+def test_constructors_agree_with_build_on_perturbed_complexes():
+    rng = random.Random(13)
+    kinds = set()
+    for c, rows in _samples():
+        for t in range(4):
+            bad, filt = [list(row) for row in rows], c.filtration
+            if filt is not None and t % 2:   # new levels, which may drop along d
+                filt = [rng.randint(0, 3) for _ in filt]
+            else:
+                i, j = rng.randrange(c.dim), rng.randrange(c.dim)
+                bad[i][j] += rng.choice([1, F(1, 3)])
+            want = outcome(lambda: build(c.n, c.degrees, bad, filtration=filt, names=c.names))
+            kinds.add(want)
+            assert outcome(lambda: FracComplex(c.n, c.degrees, bad, c.names, filt)) == want
+            assert outcome(lambda: replace(c, diff=bad, filtration=filt)) == want
+            if want is None:
+                assert replace(c, diff=bad, filtration=filt) == build(
+                    c.n, c.degrees, bad, filtration=filt, names=c.names)
+    assert {"degree", "d2", "filtration", None} <= kinds
+
+
+def test_constructors_agree_with_build_module_on_perturbed_maps():
+    rng = random.Random(14)
+    kinds = set()
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        mod = random_graded_module(rng, n, rng.randint(1, 3), max_dim=6)
+        endos = [[list(row) for row in e] for e in mod.endos]
+        e = rng.choice(endos)
+        i, j = rng.randrange(mod.dim), rng.randrange(mod.dim)
+        e[i][j] += rng.choice([1, F(2, 5)])
+        want = outcome(lambda: build_module(n, mod.degrees, endos))
+        kinds.add(want)
+        assert outcome(lambda: GradedModule(n, mod.degrees, endos)) == want
+        assert outcome(lambda: replace(mod, endos=endos)) == want
+    assert {"degree", "d2", None} <= kinds
+
+
+def test_assembled_complexes_equal_build_of_their_diff():
+    rng = random.Random(21)
+    for k, (x, rows) in enumerate(_samples()):
+        if k % 2:
+            x = build(x.n, x.degrees, rows)
+        y = random_complex(rng, x.n, max_dim=6)
+        s = rng.choice([1, 7])
+        f = [[v / s for v in row] for row in random_chain_map(rng, x, y)]
+        mod = random_graded_module(rng, x.n, rng.randint(0, 3), max_dim=5)
+        c = cone(f, x, y)
+        for a in (c, koszul_tensor(mod), shift(c, 3), homology_complex(c),
+                  unknot_hfkn(x.n)):
+            b = build(a.n, a.degrees, a.diff, filtration=a.filtration, names=a.names)
+            assert a == b
+            assert (a.cols, a.den) == (b.cols, b.den)
