@@ -31,9 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .laurent import LaurentPoly, PolyError
+from .laurent import LaurentPoly, PolyError, Rat, as_fraction
 
-Rat = int | Fraction
 # power tables kept: corpus verify for n <= 6 reads 8 and --n-range 1..12
 # reads 17; one table of order 800 (n = MAX_N) takes about 2.2 MB, so the
 # cache stays under 70 MB where keeping every table of a 1..200 run did not
@@ -97,7 +96,7 @@ class CycloNum:
     @staticmethod
     def from_rational(c: Rat, order: int = 2) -> "CycloNum":
         vec = [0] * _phi(order)
-        vec[0] = _canonical(Fraction(c))
+        vec[0] = _canonical(as_fraction(c))
         return CycloNum(order, tuple(vec))
 
     # -- order embedding -----------------------------------------------------

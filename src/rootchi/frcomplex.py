@@ -8,6 +8,9 @@ differential.
 
 A differential is held once, as integer columns over one positive denominator;
 checks and elimination run on those integers (scaling keeps kernels and ranks).
+Every matrix entry, wherever it enters (complexes, chain and module maps,
+``Echelon``, ``kernel``, ``rank``), is an int or another ``numbers.Rational``;
+anything else, a bool or a float too, is a shape ComplexError.
 Complexes and graded modules are valid by construction: their constructors
 (and so ``dataclasses.replace``) run every check, once, on the data that
 enters.  Operations whose result is valid whenever their checked inputs are
@@ -31,8 +34,9 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from math import gcd, lcm
+from numbers import Rational
 
 from .cyclo import CycloNum, root_sum
 from .skein import ResourceBoundError
@@ -58,40 +62,46 @@ class ComplexError(ValueError):
         self.kind = kind
 
 
-def _exact(x, i: int, j: int):
-    """Entry (i, j) as an int or a Fraction; a bool or a float is refused."""
-    if type(x) in _EXACT:
-        return x
-    if isinstance(x, (bool, float)):
-        raise ComplexError("shape", f"entry ({i}, {j}) is the {type(x).__name__} {x!r}, "
-                                    "not an int or a Fraction")
-    return Fraction(x)
+def _integral(row, i: int | None = None) -> tuple[list[int], int]:
+    """The one reader of entries: a row as integers over the lcm of its
+    denominators, an all-int row as it is, over 1.  An entry that is not an int
+    or another ``numbers.Rational``, in a zero slot too, is a shape ComplexError."""
+    kinds = set(map(type, row))
+    if kinds <= _INT:
+        return row, 1
+    if not kinds <= _EXACT:
+        for j, x in enumerate(row):
+            if type(x) is bool or not isinstance(x, Rational):
+                raise ComplexError("shape", f"entry {j if i is None else (i, j)} is the "
+                                            f"{type(x).__name__} {x!r}, not an int or a Fraction")
+    nonzero = list(compress(range(len(row)), row))
+    den = lcm(*[row[j].denominator for j in nonzero])
+    out = [0] * len(row)
+    for j in nonzero:
+        out[j] = row[j].numerator * (den // row[j].denominator)
+    return out, den
 
 
 def _columns(rows, nrows: int, ncols: int) -> tuple[Columns, int]:
-    """Read a dense matrix once, row by row: its nonzero entries as integer
-    columns over one positive denominator, the lcm of their denominators.
-    A row of ints and Fractions is taken as it is; any other row is read
-    entry by entry, zero slots included."""
+    """Read a dense matrix once, row by row with ``_integral``: its nonzero
+    entries as integer columns over the lcm of the rows' denominators."""
     if len(rows) != nrows:
         raise ComplexError("shape", f"expected {nrows} rows, got {len(rows)}")
     cols: list[dict] = [{} for _ in range(ncols)]
-    integral = True
+    dens = []
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ComplexError("shape", f"expected {ncols} columns, got {len(row)}")
-        kinds = set(map(type, row))
-        if not kinds <= _INT:
-            integral = False
-            if not kinds <= _EXACT:
-                row = [_exact(x, i, j) for j, x in enumerate(row)]
+        row, d = _integral(row, i)
+        dens.append(d)
         for j in compress(range(ncols), row):
             cols[j][i] = row[j]
-    if integral:
-        return tuple(cols), 1
-    den = lcm(*(x.denominator for col in cols for x in col.values()))
-    return tuple({i: x.numerator * (den // x.denominator) for i, x in col.items()}
-                 for col in cols), den
+    den = lcm(*dens)
+    if den > 1:
+        for col in cols:
+            for i in col:
+                col[i] *= den // dens[i]
+    return tuple(cols), den
 
 
 def _dense(cols: Columns, den: int) -> Matrix:
@@ -114,12 +124,16 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return values
 
 
-def _apply(cols: Columns, vec: dict) -> dict:
-    """A matrix, given by its nonzero columns, times a sparse vector."""
+def _residual(a: Columns, x: dict, b: Columns, y: dict) -> dict:
+    """The nonzero entries of a x - b y, for matrices given by their nonzero
+    integer columns and sparse integer vectors x and y."""
     out: dict = {}
-    for k, x in vec.items():
-        for i, y in cols[k].items():
-            out[i] = out.get(i, 0) + y * x
+    for k, v in x.items():
+        for i, w in a[k].items():
+            out[i] = out.get(i, 0) + w * v
+    for k, v in y.items():
+        for i, w in b[k].items():
+            out[i] = out.get(i, 0) - w * v
     return {i: v for i, v in out.items() if v}
 
 
@@ -139,15 +153,6 @@ def _names(names, m: int) -> tuple[str, ...]:
     if len(names) != m:
         raise ComplexError("shape", "name count does not match generators")
     return names
-
-
-def _check_square_zero(cols: Columns, den: int, names: tuple[str, ...]) -> None:
-    """d^2 = 0, walking only the nonzero entries, in integers: cols squares to
-    d^2 scaled by den squared."""
-    for j, col in enumerate(cols):
-        for i, s in _apply(cols, col).items():
-            raise ComplexError("d2", f"d^2({names[j]}) has {names[i]}-coefficient "
-                                     f"{Fraction(s, den * den)}")
 
 
 @dataclass(frozen=True, init=False)
@@ -179,7 +184,11 @@ class FracComplex:
                         "degree",
                         f"d({names[j]}) hits {names[i]}: degree step "
                         f"{Fraction(degrees[i] - degrees[j], n)} instead of 1")
-        _check_square_zero(cols, den, names)
+        # d^2 = 0 in integers: cols squares to d^2 scaled by den squared
+        for j, col in enumerate(cols):
+            for i, v in _residual(cols, col, cols, {}).items():
+                raise ComplexError("d2", f"d^2({names[j]}) has {names[i]}-coefficient "
+                                         f"{Fraction(v, den * den)}")
         if filtration is not None:
             filtration = _integers(filtration, "filtration level")
             if len(filtration) != m:
@@ -239,13 +248,14 @@ def _eliminate(a: list[int], b: list[int], c: int) -> list[int]:
 class Echelon:
     """Row echelon form of rational rows, kept over the integers.
 
-    ``add`` scales a row with a ``Fraction`` entry by the lcm of its
-    denominators (an all-int row is taken as it is) and reduces it against
+    ``add`` reads a row with the module's one entry rule (an all-int row as it
+    is, ``numbers.Rational`` entries scaled by the lcm of the row's
+    denominators, any other entry a shape ComplexError) and reduces it against
     the stored rows with fraction-free integer row operations (as in Bareiss
     1968), dividing out each row's content to keep entries small; ``place``
-    does the same and returns the new pivot.  Fractions
-    appear only where ``rref`` and ``kernel`` divide by the pivots.  Rows stay
-    sorted by pivot column and span exactly the rows added.
+    does the same and returns the new pivot.  Fractions appear only where
+    ``rref`` and ``kernel`` divide by the pivots.  Rows stay sorted by pivot
+    column and span exactly the rows added.
     """
 
     def __init__(self, rows=()):
@@ -260,12 +270,8 @@ class Echelon:
 
     def place(self, row) -> int | None:
         """Add a row; the column of its new pivot, or None when it depends on
-        the rows added before.  An all-int row is reduced as it is."""
-        if set(map(type, row)) <= _INT:
-            v = row
-        else:
-            den = lcm(*(x.denominator for x in row))
-            v = [x.numerator * (den // x.denominator) for x in row]
+        the rows added before."""
+        v, _ = _integral(row)
         for r, pc in zip(self.rows, self.pivots):
             if v[pc]:
                 v = _eliminate(v, r, pc)
@@ -310,12 +316,14 @@ def _null_space(ech: Echelon, ncols: int) -> list[tuple[int, list[int]]]:
 
 
 def rank(rows) -> int:
+    """Rank of rational rows, read by the module's one entry rule."""
     return len(Echelon(rows).pivots)
 
 
 def kernel(matrix, ncols: int) -> list[list[Fraction]]:
     """Basis of the null space of the matrix (rows = constraints), one vector
-    per free column, read off the unique reduced row echelon form."""
+    per free column, read off the unique reduced row echelon form; entries
+    are read by the module's one entry rule."""
     return [[Fraction(x, w[fc]) if x else _ZERO for x in w]
             for fc, w in _null_space(Echelon(matrix), ncols)]
 
@@ -421,11 +429,8 @@ def _representatives(c: FracComplex) -> dict[int, list[tuple[Fraction, ...]]]:
 
 def homology_complex(c: FracComplex) -> FracComplex:
     """Homology as a complex with zero differential (for chaining)."""
-    h = homology(c)
-    degs = []
-    for u, k in sorted(h.dims.items()):
-        degs.extend([u] * k)
-    return _free(c.n, tuple(degs))
+    dims = homology(c).dims  # ascending in degree
+    return _free(c.n, tuple(u for u, k in dims.items() for _ in range(k)))
 
 
 def cone(f_matrix, x: FracComplex, y: FracComplex) -> FracComplex:
@@ -446,7 +451,7 @@ def cone(f_matrix, x: FracComplex, y: FracComplex) -> FracComplex:
     # f d_X = d_Y f, walking nonzero entries only; with f = F/f_den and
     # d = D/den, in integers: y.den * (F D_X) = x.den * (D_Y F)
     for j in range(x.dim):
-        if _moved(_apply(f, x.cols[j]), y.den) != _moved(_apply(y.cols, f[j]), x.den):
+        if _residual(f, _moved(x.cols[j], y.den), y.cols, _moved(f[j], x.den)):
             raise ComplexError("d2", "not a chain map")
     den = lcm(x.den, y.den, f_den)
     cols = tuple({**_moved(dx, -(den // x.den)), **_moved(fx, den // f_den, x.dim)}
@@ -491,11 +496,9 @@ class GradedModule:
                 if any(degrees[i] != degrees[j] + 2 for i in col[j]):
                     raise ComplexError("degree", f"U_{t} does not raise degree by 2/n")
         # U_s U_t and U_t U_s carry the same scale, the product of the two denominators
-        for s in range(len(cols)):
-            for t in range(s + 1, len(cols)):
-                for j in range(m):
-                    if _apply(cols[s], cols[t][j]) != _apply(cols[t], cols[s][j]):
-                        raise ComplexError("d2", f"U_{s} and U_{t} do not commute")
+        for (s, a), (t, b) in combinations(enumerate(cols), 2):
+            if any(_residual(a, b[j], b, a[j]) for j in range(m)):
+                raise ComplexError("d2", f"U_{s} and U_{t} do not commute")
         vars(self).update(n=n, degrees=degrees, maps=maps)
 
     def __getattr__(self, name):

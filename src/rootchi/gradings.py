@@ -16,9 +16,7 @@ from fractions import Fraction
 import json
 
 from .cyclo import CycloNum, root
-from .laurent import LaurentPoly
-
-Rat = int | Fraction
+from .laurent import LaurentPoly, Rat
 
 
 class TableError(ValueError):
@@ -89,16 +87,20 @@ def chi_bigraded(t: DimTable, sign_label: str, var_label: str,
     if t.arity != 2:
         raise TableError("chi_bigraded needs a bigraded table")
     si = t.labels.index(sign_label)
-    vi = t.labels.index(var_label)
-    name = out_var or var_label
-    acc: dict[tuple[int], Fraction] = {}
+    return LaurentPoly.make((out_var or var_label,),
+                            _signed_sums(t, si, [t.labels.index(var_label)]))
+
+
+def _signed_sums(t: DimTable, si: int, slots: list[int]) -> dict[tuple[int, ...], Fraction]:
+    """Sum of (-1)^J dim per exponent vector of ``slots``; J is slot si, integral."""
+    acc: dict[tuple[int, ...], Fraction] = {}
     for deg, dim in t.entries:
         if deg[si] % 2:
             raise TableError("sign slot must be integral")
         sign = -1 if (deg[si] // 2) % 2 else 1
-        key = (deg[vi],)
+        key = tuple(deg[s] for s in slots)
         acc[key] = acc.get(key, Fraction(0)) + sign * dim
-    return LaurentPoly.make((name,), acc)
+    return acc
 
 
 def chi_trigraded(t: DimTable, sign_rule: str = "half_k_minus_j") -> LaurentPoly:
@@ -111,31 +113,17 @@ def chi_trigraded(t: DimTable, sign_rule: str = "half_k_minus_j") -> LaurentPoly
     """
     if t.arity != 3:
         raise TableError("chi_trigraded needs a trigraded table")
-    acc: dict[tuple[int, int], Fraction] = {}
     if sign_rule == "half_k_minus_j":
-        ii, jj, kk = 0, 1, 2
-        for deg, dim in t.entries:
-            dj, dk = deg[jj], deg[kk]
+        acc: dict[tuple[int, int], Fraction] = {}
+        for (di, dj, dk), dim in t.entries:
             if (dk - dj) % 4:
-                raise TableError(
-                    f"k - j must be even, got {Fraction(dk - dj, 2)}")
+                raise TableError(f"k - j must be even, got {Fraction(dk - dj, 2)}")
             sign = -1 if ((dk - dj) // 4) % 2 else 1
-            key = (deg[ii], dj)  # exponents of q and a
+            key = (dj, di)  # exponents of a and q
             acc[key] = acc.get(key, Fraction(0)) + sign * dim
-        out: dict[tuple[int, int], Fraction] = {}
-        for (qe, ae), c in acc.items():
-            out[(ae, qe)] = c
-        return LaurentPoly.make(("a", "q"), out)
+        return LaurentPoly.make(("a", "q"), acc)
     si = t.labels.index(sign_rule)
-    rest = [x for x in range(3) if x != si]
-    uv = ("u", "v")
-    for deg, dim in t.entries:
-        if deg[si] % 2:
-            raise TableError("sign slot must be integral")
-        sign = -1 if (deg[si] // 2) % 2 else 1
-        key = (deg[rest[0]], deg[rest[1]])
-        acc[key] = acc.get(key, Fraction(0)) + sign * dim
-    return LaurentPoly.make(uv, acc)
+    return LaurentPoly.make(("u", "v"), _signed_sums(t, si, [x for x in range(3) if x != si]))
 
 
 # -- grading dictionaries ----------------------------------------------------------
@@ -239,12 +227,10 @@ def hfk_shift_spec(variant: str, ell: int, n: int | None = None) -> ShiftSpec:
     """
     if ell < 1:
         raise TableError("component count must be >= 1")
-    if variant == "reduced":
+    if variant in ("reduced", "unreduced"):
         a, m = Fraction(ell - 1, 2), 0
     elif variant == "minus":
         a, m = Fraction(ell, 2), 1
-    elif variant == "unreduced":
-        a, m = Fraction(ell - 1, 2), 0
     else:
         raise TableError(f"unknown variant {variant!r}")
     frac = (1 - ell) * (n - 1) if n is not None else None

@@ -17,6 +17,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 Rat = int | Fraction
 Terms = tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -219,17 +220,25 @@ def var(name: str) -> LaurentPoly:
     return LaurentPoly.make((name,), {(2,): Fraction(1)})
 
 
+def as_fraction(x) -> Fraction:
+    """An int or another ``numbers.Rational`` as a Fraction; a bool, a float or
+    anything else is a PolyError, never read as 0/1 or as a binary expansion."""
+    if type(x) is bool or not isinstance(x, Rational):
+        raise PolyError(f"expected an int or a Fraction, got the {type(x).__name__} {x!r}")
+    return Fraction(x)
+
+
 def mono(coeff: Rat = 1, /, **exponents: Rat) -> LaurentPoly:
     """Monomial with rational exponents in units of 1/2, e.g.
-    ``mono(3, t=Fraction(1, 2))`` is 3*t^(1/2)."""
+    ``mono(3, t=Fraction(1, 2))`` is 3*t^(1/2); inputs go through ``as_fraction``."""
     vars = tuple(exponents)
     vec = []
     for v in vars:
-        d = Fraction(exponents[v]) * 2
+        d = as_fraction(exponents[v]) * 2
         if d.denominator != 1:
             raise PolyError(f"exponent of {v} must be a half-integer")
         vec.append(int(d))
-    return LaurentPoly.make(vars, {tuple(vec): Fraction(coeff)})
+    return LaurentPoly.make(vars, {tuple(vec): as_fraction(coeff)})
 
 
 def arith(p: LaurentPoly, q: LaurentPoly, op: str) -> LaurentPoly:

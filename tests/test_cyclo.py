@@ -38,6 +38,16 @@ def test_inverse_pairs():
             assert root(n, k) * root(n, 2 * n - k) == 1
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False, "1/2", None])
+def test_from_rational_refuses_inexact_input(bad):
+    with pytest.raises(ValueError):
+        CycloNum.from_rational(bad)
+    with pytest.raises(ValueError):
+        CycloNum.from_rational(bad, 6)
+    assert CycloNum.from_rational(Fraction(1, 2), 6).coeffs == (Fraction(1, 2), 0)
+    assert CycloNum.from_rational(1) == 1
+
+
 def test_mixed_order_arithmetic():
     assert root(2, 1) * root(3, 1) == root(6, 5)      # e^(pi i/2) e^(pi i/3)
     assert root(2, 2) == root(5, 5)                   # both are -1

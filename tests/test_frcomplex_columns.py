@@ -5,15 +5,16 @@ of its own dense differential."""
 
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from rootchi.frcomplex import (ComplexError, FracComplex, GradedModule, build,
+from rootchi.frcomplex import (ComplexError, Echelon, FracComplex, GradedModule, build,
                                build_module, complex_from_json, complex_to_json,
-                               cone, homology, homology_complex, koszul_tensor,
-                               shift, spectral_sequence, unknot_hfkn)
+                               cone, homology, homology_complex, kernel, koszul_tensor,
+                               rank, shift, spectral_sequence, unknot_hfkn)
 from rootchi.synth import random_chain_map, random_complex, random_graded_module
 
 F = Fraction
@@ -154,18 +155,73 @@ def test_chain_map_off_by_a_rational_factor_is_refused():
     assert kind_of(lambda: cone(bad, x, y)) == "d2"
 
 
-@pytest.mark.parametrize("entry, error", [(None, TypeError), ("abc", ValueError),
-                                          ([], TypeError)])
-def test_non_numeric_entries_are_refused(entry, error):
-    with pytest.raises(error):
-        build(1, [0, 1], [[0, 0], [entry, 0]])
-    with pytest.raises(error):
-        build(1, [0, 1], [[entry, 0], [1, 0]])   # in a zero slot, never skipped
+@pytest.mark.parametrize("entry", [None, "abc", []])
+def test_non_numeric_entries_are_refused(entry):
+    assert kind_of(lambda: build(1, [0, 1], [[0, 0], [entry, 0]])) == "shape"
+    # in a zero slot, never skipped
+    assert kind_of(lambda: build(1, [0, 1], [[entry, 0], [1, 0]])) == "shape"
     x = build(1, [0], [[0]])
-    with pytest.raises(error):
-        cone([[entry]], x, x)
-    with pytest.raises(error):
-        build_module(2, [0, 2], [[[0, 0], [entry, 0]]])
+    assert kind_of(lambda: cone([[entry]], x, x)) == "shape"
+    assert kind_of(lambda: build_module(2, [0, 2], [[[0, 0], [entry, 0]]])) == "shape"
+
+
+def _entry_points(entry):
+    """Every way a matrix entry enters, each as a call whose value is compared."""
+    x = build(1, [0], [[0]])
+    zero = build(1, [0, 1], [[0, 0], [0, 0]])
+    diff = [[0, 0], [entry, 0]]
+
+    def added():
+        ech = Echelon()
+        return ech.add([entry, 1]), ech.rref()
+
+    return {
+        "build": lambda: build(1, [0, 1], diff),
+        "FracComplex": lambda: FracComplex(1, [0, 1], diff, None),
+        "replace": lambda: replace(zero, diff=diff),
+        "cone": lambda: cone([[entry]], x, x),
+        "build_module": lambda: build_module(2, [0, 2], [diff]),
+        "kernel": lambda: kernel([[entry, 1]], 2),
+        "rank": lambda: rank([[entry, 1], [1, 0]]),
+        "Echelon": lambda: Echelon([[entry, 1]]).rref(),
+        "Echelon.add": added,
+    }
+
+
+def _held(value):
+    """A result with the integer form a complex or module holds made visible."""
+    if isinstance(value, FracComplex):
+        return value, value.cols, value.den
+    if isinstance(value, GradedModule):
+        return value, value.maps
+    return value
+
+
+@pytest.mark.parametrize("entry", [2, F(1, 2), True, False, 0.5, "1/2", None, [],
+                                   Decimal("1")], ids=repr)
+def test_one_entry_rule_at_every_entry_point(entry):
+    accepted = type(entry) in (int, F)
+    calls = _entry_points(entry)
+    assert {name: outcome(call) for name, call in calls.items()} == dict.fromkeys(
+        calls, None if accepted else "shape")
+    if accepted:
+        # the same entry as a Fraction, and so as the reader scales it
+        want = _entry_points(F(entry))
+        for name, call in calls.items():
+            assert _held(call()) == _held(want[name]()), name
+
+
+def test_check_messages_name_the_failure():
+    # d x0 = x1/2 + x2, d x1 = x3, d x2 = -x3: d^2 x0 = -x3/2
+    rows = [[0, 0, 0, 0], [F(1, 2), 0, 0, 0], [1, 0, 0, 0], [0, 1, -1, 0]]
+    with pytest.raises(ComplexError, match=r"^d\^2\(x0\) has x3-coefficient -1/2$"):
+        build(1, [0, 1, 1, 2], rows)
+    x = build(1, [0, 1], [[0, 0], [F(1, 2), 0]])
+    y = build(1, [0, 1], [[0, 0], [F(1, 3), 0]])
+    with pytest.raises(ComplexError, match="^not a chain map$"):
+        cone([[F(3, 5), 0], [0, F(3, 5)]], x, y)
+    with pytest.raises(ComplexError, match="^U_0 and U_1 do not commute$"):
+        build_module(2, [0, 2, 2, 4], BAD_COMMUTE)
 
 
 @pytest.mark.parametrize("entry", [True, False])

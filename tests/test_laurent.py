@@ -87,6 +87,16 @@ def test_exact_div_quantum_integer_200():
     assert exact_div(q ** 200 - q ** -200, q - q ** -1) == want
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False, "1/2", None])
+def test_mono_refuses_inexact_input(bad):
+    with pytest.raises(PolyError):
+        mono(bad, t=1)
+    with pytest.raises(PolyError):
+        mono(1, t=bad)
+    assert mono(Fraction(1, 10), t=Fraction(1, 2)) == parse_poly("1/10*t^(1/2)")
+    assert mono(1, t=1) == t
+
+
 def test_serialize_parse_examples():
     assert serialize(t - 1 + t ** -1) == "t - 1 + t^-1"
     hopf = mono(1, t=Fraction(1, 2)) - mono(1, t=Fraction(-1, 2))
