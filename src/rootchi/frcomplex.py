@@ -16,6 +16,9 @@ Complexes and graded modules are valid by construction: their constructors
 enters.  Operations whose result is valid whenever their checked inputs are
 (shift, cones after the chain-map check, the Koszul tensor, homology as a
 complex) assemble it without checking it again.
+Homology dimensions come from one reduction per block of d, from the
+highest degree down with clearing: a block skips the rows of the targets at
+the pivot columns of the block above, which d^2 = 0 makes dependent.
 The spectral sequence of a filtration is read off one reduction per block of
 d: each source whose reduced image is nonzero pairs with the target at its
 pivot, and the pair lives on the pages up to their difference in level.
@@ -394,15 +397,27 @@ class HomologyResult:
 def homology(c: FracComplex) -> HomologyResult:
     """Degree-indexed homology dimensions with representative cycles.
 
-    The dimensions come from one rank per block of d, by rank-nullity:
-    dim H_u = |C_u| - rank(d: C_u -> C_(u+1)) - rank(d: C_(u-1) -> C_u).
+    The dimensions come from rank-nullity,
+    dim H_u = |C_u| - rank(d: C_u -> C_(u+1)) - rank(d: C_(u-1) -> C_u),
+    with the blocks of d reduced from the highest degree down, one
+    ``Echelon`` each, with clearing: the block at u takes one row per
+    target in C_(u+1) except the targets at the pivot columns of the block
+    above.  Those rows are known to be dependent: a reduced row of the
+    block above is a cochain whose coboundary is zero, so the row at its
+    pivot is a combination of rows of larger index.
     The representatives are built when first read (``rootchi complex hom``
     never reads them): in each degree, the kernel basis vectors that are
     independent of the image and of the representatives chosen before them.
     """
     by_degree = _by_degree(c)
-    rank_out = {u: rank(_block(c, by_degree[u + c.n], cols))
-                for u, cols in by_degree.items() if u + c.n in by_degree}
+    rank_out: dict[int, int] = {}
+    cleared: dict[int, set[int]] = {}  # degree -> its gens at the pivot columns of its block
+    for u in sorted(by_degree, reverse=True):
+        if u + c.n in by_degree:
+            cols, skip = by_degree[u], cleared.pop(u + c.n, ())
+            ech = Echelon(_block(c, [i for i in by_degree[u + c.n] if i not in skip], cols))
+            rank_out[u] = len(ech.pivots)
+            cleared[u] = {cols[k] for k in ech.pivots}
     dims: dict[int, int] = {}
     for u, cols in sorted(by_degree.items()):
         k = len(cols) - rank_out.get(u, 0) - rank_out.get(u - c.n, 0)

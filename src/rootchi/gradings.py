@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import json
+from numbers import Rational
 
 from .cyclo import CycloNum, root
 from .laurent import LaurentPoly, Rat
@@ -24,8 +25,11 @@ class TableError(ValueError):
 
 
 def _doubled(x: Rat) -> int:
-    if isinstance(x, bool):
-        raise TableError(f"degree must be a number, got {x!r}")
+    """A degree, an int or another ``numbers.Rational``, doubled; a bool, a
+    float or a string is a TableError, as an entry is in the complex layer."""
+    if type(x) is bool or not isinstance(x, Rational):
+        raise TableError(f"degree must be an int or a Fraction, got the "
+                         f"{type(x).__name__} {x!r}")
     d = Fraction(x) * 2
     if d.denominator != 1:
         raise TableError(f"degree {x} is not a half-integer")

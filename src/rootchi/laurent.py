@@ -17,7 +17,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Number, Rational
 
 Rat = int | Fraction
 Terms = tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -182,7 +182,9 @@ class LaurentPoly:
 def _coerce(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    # int and Fraction ahead of the ABC check; a bool, a float or a complex
+    # is a PolyError from const
+    if isinstance(x, (int, Fraction, Number)):
         return const(x)
     return NotImplemented
 
@@ -213,7 +215,8 @@ def one() -> LaurentPoly:
 
 
 def const(c: Rat) -> LaurentPoly:
-    return LaurentPoly.make((), {(): Fraction(c)})
+    """The constant c, read through ``as_fraction``."""
+    return LaurentPoly.make((), {(): as_fraction(c)})
 
 
 def var(name: str) -> LaurentPoly:

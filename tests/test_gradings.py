@@ -171,6 +171,15 @@ def test_bool_degree_is_refused():
         make_table(("a", "b"), (False, False), {(True, False): 1})
 
 
+@pytest.mark.parametrize("degree", [0.5, 1.0, "2", "1/2"])
+def test_float_or_string_degree_is_refused(degree):
+    with pytest.raises(TableError):
+        make_table(("a", "b"), (True, False), {(degree, 0): 1})
+    with pytest.raises(TableError):
+        make_table(("a", "b"), (True, False), [((0, degree), 1)])
+    assert make_table(("a", "b"), (True, False), {(F(1, 2), 2): 1}).entries == (((1, 4), 1),)
+
+
 def test_bool_degree_in_json_is_refused():
     text = json.dumps({"labels": ["a", "b"], "half": [False, False],
                        "entries": [{"deg": [True, 0], "dim": 2}]})

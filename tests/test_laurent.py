@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootchi.laurent import (ExactDivisionError, LaurentPoly, PolyError,
+from rootchi.laurent import (ExactDivisionError, LaurentPoly, PolyError, const,
                              PolyParseError, RationalPair, VariableMismatchError, arith,
                              exact_div, mono, one, parse_poly, serialize,
                              substitute, var, zero)
@@ -95,6 +95,25 @@ def test_mono_refuses_inexact_input(bad):
         mono(1, t=bad)
     assert mono(Fraction(1, 10), t=Fraction(1, 2)) == parse_poly("1/10*t^(1/2)")
     assert mono(1, t=1) == t
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False, 1j])
+def test_constants_refuse_inexact_input(bad):
+    with pytest.raises(PolyError):
+        const(bad)
+    for op in (lambda: t + bad, lambda: bad + t, lambda: t - bad, lambda: bad - t,
+               lambda: t * bad, lambda: bad * t):
+        with pytest.raises(PolyError):
+            op()
+    assert const(Fraction(1, 10)) == parse_poly("1/10")
+    assert t + 1 == parse_poly("t + 1") and 2 * t == parse_poly("2*t")
+
+
+def test_arithmetic_with_a_non_number_is_a_type_error():
+    with pytest.raises(TypeError):
+        t + "1"
+    with pytest.raises(TypeError):
+        None * t
 
 
 def test_serialize_parse_examples():
