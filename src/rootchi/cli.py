@@ -19,11 +19,9 @@ from . import corpus as corpus_mod
 from .frcomplex import (MAX_N, ComplexError, complex_from_json, complex_to_json,
                         euler_char, homology, spectral_sequence, unknot_hfkn)
 from .laurent import PolyError, serialize
-from .linkdiag import DiagramError, LinkDiagram, parse_link
-from .skein import (BoundSettingError, ResourceBoundError, alexander,
-                    crossing_bound, homfly_middle, homfly_reduced,
-                    homfly_unreduced, sln_poly)
-from .verify import (VerifyReport, parse_n_range, reports_to_json,
+from .linkdiag import DiagramError, LinkDiagram, ResourceBoundError, parse_link
+from .skein import BoundSettingError, crossing_bound
+from .verify import (LinkValues, VerifyReport, parse_n_range, reports_to_json,
                      run_link_checks)
 
 EXIT_OK = 0
@@ -50,17 +48,9 @@ def _check_n_bound(n: int) -> None:
 def cmd_poly(args) -> int:
     if args.invariant == "sln":
         _check_n_bound(args.n)
-    d = _resolve_link(args.link)
-    p = homfly_unreduced(d)
-    if args.invariant == "alexander":
-        result = alexander(d, unreduced=p)
-    elif args.invariant == "sln":
-        result = sln_poly(d, args.n, reduced=(args.variant == "reduced"),
-                          unreduced_homfly=p)
-    else:
-        result = {"reduced": homfly_reduced, "middle": homfly_middle,
-                  "unreduced": lambda d, unreduced: unreduced}[args.variant](d, unreduced=p)
-    text = serialize(result)
+    key = {"alexander": "alexander", "sln": f"sln_{args.n}_{args.variant}",
+           "homfly": f"homfly_{args.variant}"}[args.invariant]
+    text = serialize(LinkValues(_resolve_link(args.link)).named(key))
     if args.format == "json":
         print(json.dumps({"link": args.link, "invariant": args.invariant,
                           "variant": args.variant, "n": args.n, "poly": text}))

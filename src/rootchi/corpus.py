@@ -31,7 +31,8 @@ def expected_order(key: str) -> int | None:
     key raises ``DiagramError``."""
     m = _EXPECT_KEY.fullmatch(key)
     if not m:
-        raise DiagramError(f"unknown expect key {key!r}")
+        raise DiagramError(f"unknown expect key {key!r}; the keys are alexander, "
+                           "homfly_<unreduced|reduced|middle> and sln_<n>_<reduced|unreduced>")
     if m.group(1) is None:
         return None
     try:

@@ -42,7 +42,7 @@ from math import gcd, lcm
 from numbers import Rational
 
 from .cyclo import CycloNum, root_sum
-from .skein import ResourceBoundError
+from .linkdiag import ResourceBoundError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Columns = tuple[dict[int, int], ...]   # cols[j][i]: nonzero integer entry (i, j)

@@ -274,7 +274,8 @@ def substitute(p: LaurentPoly, name: str, image: LaurentPoly | Rat) -> LaurentPo
     only accepted when every occurrence of the variable has a nonnegative
     integer exponent; clearing denominators first is the caller's job.
     """
-    image = _coerce(image)
+    if (image := _coerce(image)) is NotImplemented:
+        raise TypeError("the image must be a LaurentPoly, an int or a Fraction")
     if name not in p.vars:
         return p
     monomial = image.is_monomial()
@@ -540,6 +541,8 @@ class RationalPair:
             raise PolyError("zero denominator")
 
     def __eq__(self, other):
+        if type(other) is bool:  # a bool equals no pair, as it equals no LaurentPoly
+            return False
         if isinstance(other, (int, Fraction, LaurentPoly)):
             other = RationalPair(_coerce(other), one())
         if not isinstance(other, RationalPair):
@@ -550,8 +553,11 @@ class RationalPair:
         return hash((self.num.is_zero(),))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalPair(_coerce(other), one())
+        if not isinstance(other, RationalPair):
+            # through _coerce, so a bool or a float is a PolyError as for LaurentPoly
+            if (other := _coerce(other)) is NotImplemented:
+                return NotImplemented
+            other = RationalPair(other, one())
         return RationalPair(self.num * other.num, self.den * other.den)
 
     def __repr__(self):

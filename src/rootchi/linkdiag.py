@@ -128,13 +128,14 @@ def _walk(crossings) -> tuple[list[list[int]], dict[int, tuple[int, bool, int]]]
 
 
 def validate(d: LinkDiagram) -> None:
-    if d.unknot_count < 0:
-        raise DiagramError("negative unknot count")
+    """Every count, sign and label is an int; a bool is never read as 0/1."""
+    if type(d.unknot_count) is not int or d.unknot_count < 0:
+        raise DiagramError(f"unknot count must be a non-negative integer, got {d.unknot_count!r}")
     for c in d.crossings:
-        if c.sign not in (1, -1):
-            raise DiagramError(f"crossing sign must be +1 or -1, got {c.sign}")
+        if type(c.sign) is not int or c.sign not in (1, -1):
+            raise DiagramError(f"crossing sign must be +1 or -1, got {c.sign!r}")
         for e in c.edges():
-            if not isinstance(e, int) or e < 1:
+            if type(e) is not int or e < 1:
                 raise DiagramError(f"edge labels must be positive integers, got {e!r}")
     _walk(d.crossings)
 

@@ -17,10 +17,11 @@ second recursion, so a convention slip shows up as a division error instead
 of a silently wrong value.
 
 Every one-variable image of P (the sl(n) polynomial at a = q^n, z = q - q^-1,
-the Alexander polynomial at z = t^(1/2) - t^(-1/2), the evaluations at
-a = +-1) is taken by ``specialize`` in one pass over the terms of P: each
-a^k z^j adds its coefficient, as an integer, times a cached integer row of
-the binomial expansion of (x - x^-1)^j.
+the Alexander polynomial at a = 1, z = t^(1/2) - t^(-1/2), the evaluations
+at a = +-1) is taken on one path: ``clear_z`` multiplies by the least z^k
+that leaves no negative power of z, ``specialize`` maps each a^i z^j in one
+pass, as an integer times a cached row of the binomial expansion of
+(x - x^-1)^j, and the image of z^k is divided back out exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 from functools import cache
 from math import comb
 
-from .laurent import LaurentPoly, PolyError, Rat, exact_div, one, substitute, var
+from .laurent import LaurentPoly, PolyError, Rat, exact_div, var
 from .linkdiag import (LinkDiagram, ResourceBoundError, canonical_key,
                        first_non_descending, simplify, smooth_crossing,
                        switch_crossing, validate)
@@ -49,10 +50,6 @@ _MINUS_SWITCHED = _A ** 2
 _MINUS_SMOOTHED = _A * _Z
 _Q_DIFF = _Q - _Q ** -1  # the image of z under the sl(n) specialization
 _S = LaurentPoly.make(("t",), {(1,): 1, (-1,): -1})  # t^(1/2) - t^(-1/2)
-
-
-class InvariantError(RuntimeError):
-    """An identity that must hold for genuine link polynomials failed."""
 
 
 class BoundSettingError(ValueError):
@@ -188,15 +185,19 @@ def specialize(p: LaurentPoly, name: str, alpha: int, beta: int,
     return LaurentPoly.make((name,), {(e,): c for e, c in acc.items()})
 
 
+def clear_z(p: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """(p * z^k, k) for the least k >= 0 that leaves no negative power of z."""
+    lo, _ = p.exponent_range("z")  # doubled exponent: the least power is lo/2
+    k = max(0, -(lo // 2))
+    return (p * _Z ** k if k else p), k
+
+
 def alexander(d: LinkDiagram, unreduced: LaurentPoly | None = None) -> LaurentPoly:
-    """Symmetric one-variable polynomial in t^(1/2), from the a -> 1 shadow."""
-    p = unreduced if unreduced is not None else homfly_unreduced(d)
-    q = exact_div(p, _A_FACTOR)
-    r = _Z * substitute(q, "a", one())
-    lo, _ = r.exponent_range("z")
-    if lo < 0:
-        raise InvariantError("a=1 specialization kept negative z powers")
-    return specialize(r, "t", 0, 1)
+    """Symmetric polynomial in t^(1/2): the reduced P, cleared by ``clear_z``
+    with z^k, at a = 1 and z = S = t^(1/2) - t^(-1/2), divided exactly by S^k."""
+    r, k = clear_z(homfly_reduced(d, unreduced=unreduced))
+    s = specialize(r, "t", 0, 1)
+    return exact_div(s, _S ** k) if k else s
 
 
 @cache
@@ -211,18 +212,16 @@ def sln_poly(d: LinkDiagram, n: int, reduced: bool = True,
              unreduced_homfly: LaurentPoly | None = None) -> LaurentPoly:
     """Specialize a -> q^n; the reduced variant divides by (q^n - q^-n)/(q - q^-1).
 
-    Negative z powers are cleared first and divided back out exactly, so the
-    result is always a genuine Laurent polynomial in q.
+    Negative z powers are cleared first by ``clear_z`` and their image divided
+    back out exactly, so the result is always a genuine Laurent polynomial in q.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = unreduced_homfly if unreduced_homfly is not None else homfly_unreduced(d)
-    lo, _ = p.exponent_range("z")  # doubled exponent: actual min power is lo/2
-    shift = (-lo) // 2 if lo < 0 else 0
-    cleared = p * _Z ** shift if shift else p
+    cleared, k = clear_z(p)
     s = specialize(cleared, "q", 2 * n, 2)
-    if shift:
-        s = exact_div(s, _q_diff_power(shift))
+    if k:
+        s = exact_div(s, _q_diff_power(k))
     return sln_reduce(s, n) if reduced else s
 
 

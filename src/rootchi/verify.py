@@ -18,10 +18,10 @@ from .alexoracle import alex_matrix_poly, normalize_symmetric
 from .corpus import expected_order
 from .cyclo import CycloNum, eval_at_root, root
 from .gradings import eval_exponent, hfk_phase, hfk_shift_spec, koszul_factor
-from .laurent import (LaurentPoly, PolyError, RationalPair, one, serialize,
-                      substitute, zero)
+from .laurent import (LaurentPoly, PolyError, RationalPair, one, parse_poly,
+                      serialize, substitute, zero)
 from .linkdiag import LinkDiagram, SkeinSite, skein_resolve
-from .skein import (_A, _S, _Z, InvariantError, alexander, homfly_middle,
+from .skein import (_A, _S, _Z, alexander, clear_z, homfly_middle,
                     homfly_reduced, homfly_unreduced, sln_poly, sln_reduce,
                     specialize)
 
@@ -104,7 +104,7 @@ def _guarded(name: str, fn) -> list[CheckResult]:
     """
     try:
         return fn()
-    except (PolyError, InvariantError, ValueError, ArithmeticError) as e:
+    except (PolyError, ValueError, ArithmeticError) as e:
         return [CheckResult(name, "fail", f"error: {e}", "")]
 
 
@@ -115,13 +115,11 @@ def eval_az(p: LaurentPoly, a_sign: int, z_sign: int) -> RationalPair:
     """Evaluate an (a, z) polynomial at a = a_sign, z = z_sign * S exactly,
     with S = t^(1/2) - t^(-1/2) and both signs +-1.
 
-    Negative z powers are cleared first, so the result is a rational pair
-    with denominator a power of z_sign * S.
+    Negative z powers are cleared first by ``clear_z``, so the result is a
+    rational pair whose denominator is a power of z_sign * S.
     """
-    lo, _ = p.exponent_range("z")
-    k = (-lo) // 2 if lo < 0 else 0
-    num = specialize(p * _Z ** k, "t", 0, 1, a_sign, z_sign)
-    return RationalPair(num, (z_sign * _S) ** k)
+    cleared, k = clear_z(p)
+    return RationalPair(specialize(cleared, "t", 0, 1, a_sign, z_sign), (z_sign * _S) ** k)
 
 
 # -- individual checks --------------------------------------------------------------
@@ -178,7 +176,8 @@ class LinkValues:
     Only identical computations are shared; the two sides of one check never
     come from one value.  A computation that raises keeps nothing, so each check that needs
     the value meets the error again inside its own guard.  ``homfly`` and
-    ``delta`` override the computed P and Delta.
+    ``delta`` override the computed P and Delta.  ``named`` is where a name,
+    an expect key or the invariant ``rootchi poly`` prints, becomes a value.
     """
 
     def __init__(self, d: LinkDiagram, homfly: LaurentPoly | None = None,
@@ -231,6 +230,17 @@ class LinkValues:
     def delta_at(self, n: int, k: int) -> CycloNum:
         """Delta with t^(1/2) set to e^(pi*i*k/(2n))."""
         return self._keep(("delta_at", n, k), lambda: eval_at_root(self.delta(), n, k))
+
+    def named(self, key: str) -> LaurentPoly:
+        """The invariant an expect key names; ``corpus.expected_order`` reads
+        the key, so a key it refuses raises ``DiagramError``."""
+        n = expected_order(key)
+        if n is not None:
+            return self.sln(n, reduced=key.endswith("_reduced"))
+        getters = {"alexander": self.delta, "homfly_unreduced": self.homfly,
+                   "homfly_reduced": self.homfly_reduced,
+                   "homfly_middle": self.homfly_middle}
+        return getters[key]()
 
     def route_c(self) -> LaurentPoly:
         """z * (P/(a - a^(-1))), the reduced P, at a = -1: a polynomial in z
@@ -395,8 +405,6 @@ def run_link_checks(name: str, d: LinkDiagram, n_values,
     evaluations are computed once for the link.  Each check computes what it
     needs inside its own guard, so an error there is a failing check.
     """
-    from .laurent import parse_poly
-
     reports = []
     t0 = time.perf_counter()
     memo: dict = {}
@@ -410,7 +418,7 @@ def run_link_checks(name: str, d: LinkDiagram, n_values,
     for key, text in sorted((expected or {}).items()):
         want = parse_poly(text)
         base.checks.extend(_guarded(f"expected_{key}", lambda: [
-            _check(f"expected_{key}", _expected_value(values, key), want)]))
+            _check(f"expected_{key}", values.named(key), want)]))
     base.ms = (time.perf_counter() - t0) * 1000
     reports.append(base)
     for n in n_values:
@@ -423,14 +431,3 @@ def run_link_checks(name: str, d: LinkDiagram, n_values,
         rep.ms = (time.perf_counter() - t0) * 1000
         reports.append(rep)
     return reports
-
-
-def _expected_value(values: LinkValues, key: str) -> LaurentPoly:
-    """The value an expect key names; an unknown key raises ``DiagramError``."""
-    n = expected_order(key)
-    if n is not None:
-        return values.sln(n, reduced=not key.endswith("_unreduced"))
-    getters = {"alexander": values.delta, "homfly_unreduced": values.homfly,
-               "homfly_reduced": values.homfly_reduced,
-               "homfly_middle": values.homfly_middle}
-    return getters[key]()

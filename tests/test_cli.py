@@ -12,7 +12,9 @@ from rootchi.cli import main
 from rootchi.frcomplex import (MAX_FILTRATION_WIDTH, MAX_N, complex_from_json,
                                complex_to_json, unknot_hfkn)
 from rootchi.linkdiag import MAX_STRANDS
+from rootchi import verify as verify_mod
 from rootchi.skein import ResourceBoundError
+from test_verify_golden import GOLDEN, _short
 
 
 def run_cli(args, capsys):
@@ -72,6 +74,40 @@ def test_poly_json_format(capsys):
     # serialized polynomials round-trip through the parser
     from rootchi.laurent import parse_poly, serialize
     assert serialize(parse_poly(data["poly"])) == data["poly"]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_poly_sln_has_no_middle_variant(capsys, n):
+    code, out, err = run_cli(["poly", "unknot", "--invariant", "sln", "--n", str(n),
+                              "--variant", "middle"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "middle" in err
+
+
+def test_poly_prints_the_golden_values(capsys, monkeypatch):
+    """Every bundled link, invariant and variant, with n = 1..6 for sl(n), in
+    text and in JSON, against ``tests/data/verify_golden.json``."""
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    # one skein memo for all the calls; it never changes a value
+    memo, homfly = {}, verify_mod.homfly_unreduced
+    monkeypatch.setattr(verify_mod, "homfly_unreduced",
+                        lambda d, **_: homfly(d, memo=memo))
+    flags = ([("homfly", v, 2, f"homfly_{v}") for v in ("unreduced", "reduced", "middle")]
+             + [("alexander", v, 2, "alexander") for v in ("unreduced", "reduced", "middle")]
+             + [("sln", v, n, f"sln{n}_{v}") for n in range(1, 7)
+                for v in ("reduced", "unreduced")])
+    for name, fields in want.items():
+        for invariant, variant, n, field in flags:
+            args = ["poly", name, "--invariant", invariant, "--variant", variant,
+                    "--n", str(n)]
+            code, out, err = run_cli(args, capsys)
+            text = out.removesuffix("\n")
+            assert (code, err, _short(text)) == (0, "", fields[field]), args
+            code, out, err = run_cli(args + ["--format", "json"], capsys)
+            assert (code, err) == (0, ""), args
+            assert json.loads(out) == {"link": name, "invariant": invariant,
+                                       "variant": variant, "n": n, "poly": text}, args
 
 
 def test_verify_bundled_subset(tmp_path, capsys):

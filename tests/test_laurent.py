@@ -236,3 +236,22 @@ def test_rational_pair_equality():
     assert RationalPair((t - 1 + t ** -1) * s, s) == t - 1 + t ** -1
     assert RationalPair(s * s, s) == RationalPair(s, one())
     assert RationalPair(one(), s) != RationalPair(one(), -s)
+
+
+@pytest.mark.parametrize("factor", [0.5, True])
+def test_rational_pair_refuses_a_float_or_bool_factor(factor):
+    with pytest.raises(PolyError):
+        RationalPair(t, one()) * factor
+
+
+def test_non_numbers_are_a_type_error():
+    with pytest.raises(TypeError):
+        RationalPair(t, one()) * "x"
+    with pytest.raises(TypeError):
+        substitute(t, "t", "x")
+
+
+def test_rational_pair_equals_no_bool():
+    assert (RationalPair(one(), one()) == True) is False  # noqa: E712
+    assert RationalPair(one(), one()) != True  # noqa: E712
+    assert RationalPair(one(), one()) == 1

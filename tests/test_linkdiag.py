@@ -9,7 +9,7 @@ from rootchi.linkdiag import (_PD_X, Crossing, DiagramError, LinkDiagram, SkeinS
                               diagram_stats, first_non_descending, make_diagram,
                               normalize, parse_braid, parse_braid_word, parse_link,
                               parse_pd, serialize, simplify, skein_resolve,
-                              smooth_crossing, switch_crossing)
+                              smooth_crossing, switch_crossing, validate)
 from rootchi.skein import homfly_unreduced
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -228,6 +228,16 @@ def test_engines_validate_raw_diagrams(crossings, malformed_edges):
     if malformed_edges:
         with pytest.raises(DiagramError):
             d.components
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_diagram([Crossing(True, 1, 2, 2, 1)]),   # a sign of True
+    lambda: make_diagram([Crossing(1, True, 2, 2, True)]),  # an edge label True
+    lambda: validate(LinkDiagram((), True)),               # an unknot count True
+], ids=["sign", "edge", "unknot_count"])
+def test_a_bool_is_never_read_as_an_integer(build):
+    with pytest.raises(DiagramError):
+        build()
 
 
 def reference_over_directions(quads):
