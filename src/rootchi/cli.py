@@ -47,6 +47,8 @@ def _check_n_bound(n: int) -> None:
 
 def cmd_poly(args) -> int:
     if args.invariant == "sln":
+        if args.variant == "middle":
+            raise DiagramError("sl(n) has only reduced and unreduced variants, not middle")
         _check_n_bound(args.n)
     key = {"alexander": "alexander", "sln": f"sln_{args.n}_{args.variant}",
            "homfly": f"homfly_{args.variant}"}[args.invariant]

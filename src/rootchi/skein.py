@@ -16,12 +16,12 @@ All other normalizations are derived from P by exact division, never by a
 second recursion, so a convention slip shows up as a division error instead
 of a silently wrong value.
 
-Every one-variable image of P (the sl(n) polynomial at a = q^n, z = q - q^-1,
-the Alexander polynomial at a = 1, z = t^(1/2) - t^(-1/2), the evaluations
-at a = +-1) is taken on one path: ``clear_z`` multiplies by the least z^k
-that leaves no negative power of z, ``specialize`` maps each a^i z^j in one
-pass, as an integer times a cached row of the binomial expansion of
-(x - x^-1)^j, and the image of z^k is divided back out exactly.
+Every one-variable image of P (sl(n) at a = q^n, z = q - q^-1, Alexander at
+a = 1, z = t^(1/2) - t^(-1/2), the verifier's route C at a = -1, z = q - q^-1,
+``eval_az`` at a = +-1) is taken on one path: ``clear_z`` shifts the z
+exponents by the least k that leaves no negative power of z, ``specialize``
+maps each a^i z^j in one pass, as an integer times a cached row of the
+binomial expansion of (x - x^-1)^j, and the image of z^k is divided back out.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 from functools import cache
 from math import comb
 
-from .laurent import LaurentPoly, PolyError, Rat, exact_div, var
+from .laurent import LaurentPoly, PolyError, RationalPair, Rat, exact_div, var
 from .linkdiag import (LinkDiagram, ResourceBoundError, canonical_key,
                        first_non_descending, simplify, smooth_crossing,
                        switch_crossing, validate)
@@ -77,8 +77,9 @@ def _delta_power(k: int) -> LaurentPoly:
 
 
 @cache
-def _q_diff_power(k: int) -> LaurentPoly:
-    return _Q_DIFF ** k
+def _z_image_power(name: str, beta: int, k: int) -> LaurentPoly:
+    """(v^(beta/2) - v^(-beta/2))^k, the image of z^k, in the variable v = ``name``."""
+    return LaurentPoly.make((name,), {(beta,): 1, (-beta,): -1}) ** k
 
 
 def _value(d: LinkDiagram, memo: dict) -> LaurentPoly:
@@ -186,18 +187,35 @@ def specialize(p: LaurentPoly, name: str, alpha: int, beta: int,
 
 
 def clear_z(p: LaurentPoly) -> tuple[LaurentPoly, int]:
-    """(p * z^k, k) for the least k >= 0 that leaves no negative power of z."""
+    """(p * z^k, k) for the least k >= 0 that leaves no negative power of z,
+    by shifting the z exponents; z goes when they all become 0."""
     lo, _ = p.exponent_range("z")  # doubled exponent: the least power is lo/2
     k = max(0, -(lo // 2))
-    return (p * _Z ** k if k else p), k
+    if k:
+        i = p.vars.index("z")
+        p = LaurentPoly.make(p.vars, {e[:i] + (e[i] + 2 * k,) + e[i + 1:]: c for e, c in p.terms})
+    return p, k
+
+
+def _image(p: LaurentPoly, name: str, alpha: int, beta: int, a_sign: int = 1) -> LaurentPoly:
+    """p at a = a_sign * v^(alpha/2), z = v^(beta/2) - v^(-beta/2): the image
+    of p * z^k divided exactly by the image of z^k."""
+    cleared, k = clear_z(p)
+    s = specialize(cleared, name, alpha, beta, a_sign)
+    return exact_div(s, _z_image_power(name, beta, k)) if k else s
+
+
+def eval_az(p: LaurentPoly, a_sign: int, z_sign: int) -> RationalPair:
+    """p at a = a_sign, z = z_sign * S with S = t^(1/2) - t^(-1/2), signs +-1:
+    the image of p * z^k over (z_sign * S)^k, k from ``clear_z``, undivided."""
+    cleared, k = clear_z(p)
+    return RationalPair(specialize(cleared, "t", 0, 1, a_sign, z_sign), (z_sign * _S) ** k)
 
 
 def alexander(d: LinkDiagram, unreduced: LaurentPoly | None = None) -> LaurentPoly:
-    """Symmetric polynomial in t^(1/2): the reduced P, cleared by ``clear_z``
-    with z^k, at a = 1 and z = S = t^(1/2) - t^(-1/2), divided exactly by S^k."""
-    r, k = clear_z(homfly_reduced(d, unreduced=unreduced))
-    s = specialize(r, "t", 0, 1)
-    return exact_div(s, _S ** k) if k else s
+    """Symmetric polynomial in t^(1/2): the reduced P at a = 1 and
+    z = t^(1/2) - t^(-1/2), by ``_image``."""
+    return _image(homfly_reduced(d, unreduced=unreduced), "t", 0, 1)
 
 
 @cache
@@ -212,16 +230,13 @@ def sln_poly(d: LinkDiagram, n: int, reduced: bool = True,
              unreduced_homfly: LaurentPoly | None = None) -> LaurentPoly:
     """Specialize a -> q^n; the reduced variant divides by (q^n - q^-n)/(q - q^-1).
 
-    Negative z powers are cleared first by ``clear_z`` and their image divided
-    back out exactly, so the result is always a genuine Laurent polynomial in q.
+    The image is taken by ``_image``, so it is always a genuine Laurent
+    polynomial in q.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = unreduced_homfly if unreduced_homfly is not None else homfly_unreduced(d)
-    cleared, k = clear_z(p)
-    s = specialize(cleared, "q", 2 * n, 2)
-    if k:
-        s = exact_div(s, _q_diff_power(k))
+    s = _image(p, "q", 2 * n, 2)
     return sln_reduce(s, n) if reduced else s
 
 

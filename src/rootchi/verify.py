@@ -16,14 +16,13 @@ from fractions import Fraction
 
 from .alexoracle import alex_matrix_poly, normalize_symmetric
 from .corpus import expected_order
-from .cyclo import CycloNum, eval_at_root, root
+from .cyclo import CycloNum, eval_at_root, root, root_sum
 from .gradings import eval_exponent, hfk_phase, hfk_shift_spec, koszul_factor
 from .laurent import (LaurentPoly, PolyError, RationalPair, one, parse_poly,
-                      serialize, substitute, zero)
+                      serialize, zero)
 from .linkdiag import LinkDiagram, SkeinSite, skein_resolve
-from .skein import (_A, _S, _Z, alexander, clear_z, homfly_middle,
-                    homfly_reduced, homfly_unreduced, sln_poly, sln_reduce,
-                    specialize)
+from .skein import (_A, _S, _Z, _image, alexander, eval_az, homfly_middle,
+                    homfly_unreduced, sln_poly, sln_reduce)
 
 _A_INV = _A ** -1
 
@@ -108,20 +107,6 @@ def _guarded(name: str, fn) -> list[CheckResult]:
         return [CheckResult(name, "fail", f"error: {e}", "")]
 
 
-# -- specialization helpers -------------------------------------------------------
-
-
-def eval_az(p: LaurentPoly, a_sign: int, z_sign: int) -> RationalPair:
-    """Evaluate an (a, z) polynomial at a = a_sign, z = z_sign * S exactly,
-    with S = t^(1/2) - t^(-1/2) and both signs +-1.
-
-    Negative z powers are cleared first by ``clear_z``, so the result is a
-    rational pair whose denominator is a power of z_sign * S.
-    """
-    cleared, k = clear_z(p)
-    return RationalPair(specialize(cleared, "t", 0, 1, a_sign, z_sign), (z_sign * _S) ** k)
-
-
 # -- individual checks --------------------------------------------------------------
 
 
@@ -200,14 +185,16 @@ class LinkValues:
         """Unreduced P, through the link's skein memo."""
         return self._keep("homfly", lambda: homfly_unreduced(self.d, memo=self.memo))
 
-    def homfly_reduced(self) -> LaurentPoly:
-        return self._keep("reduced", lambda: homfly_reduced(self.d, unreduced=self.homfly()))
-
     def homfly_middle(self) -> LaurentPoly:
+        """The one division of P by a - a^(-1) for the link."""
         return self._keep("middle", lambda: homfly_middle(self.d, unreduced=self.homfly()))
 
+    def homfly_reduced(self) -> LaurentPoly:
+        return self._keep("reduced", lambda: -self.homfly_middle() * _Z)
+
     def delta(self) -> LaurentPoly:
-        return self._keep("delta", lambda: alexander(self.d, unreduced=self.homfly()))
+        """The kept reduced P at a = 1, z = t^(1/2) - t^(-1/2), as ``alexander``."""
+        return self._keep("delta", lambda: _image(self.homfly_reduced(), "t", 0, 1))
 
     def hat_delta(self) -> LaurentPoly:
         """(t^(-1/2) - t^(1/2))^(l-1) * Delta, the hat theory's prediction."""
@@ -242,11 +229,12 @@ class LinkValues:
                    "homfly_middle": self.homfly_middle}
         return getters[key]()
 
-    def route_c(self) -> LaurentPoly:
-        """z * (P/(a - a^(-1))), the reduced P, at a = -1: a polynomial in z
-        alone for every n."""
-        return self._keep("route_c", lambda: substitute(
-            self.homfly_reduced(), "a", Fraction(-1)))
+    def route_c(self, n: int) -> CycloNum:
+        """The reduced P at a = -1 and z = 2i sin(pi/n): its image at a = -1,
+        z = q - q^(-1), kept for every n, read at q = e^(pi*i/n) in Q(zeta_2n)."""
+        image = self._keep("route_c", lambda: _image(
+            self.homfly_reduced(), "q", 0, 2, a_sign=-1))
+        return root_sum(n, ((e[0] // 2 if e else 0, c) for e, c in image.terms))
 
 
 def verify_polynomial_identities(d: LinkDiagram,
@@ -368,14 +356,9 @@ def verify_square(d: LinkDiagram, n: int,
     def go() -> list[CheckResult]:
         route_b = v.delta_at(n, eval_exponent("hfk_primed", n))
         route_a = v.sln_at_q(n, reduced=True)
-        omega = root(n, 1) - root(n, -1)
-        route_c = CycloNum.from_rational(0)
-        for exps, coeff in v.route_c().terms:
-            m = exps[0] // 2 if exps else 0
-            route_c = route_c + coeff * omega ** m
         return [
             _check(f"square{n}_left_bottom_vs_top_right", route_a, route_b),
-            _check(f"square{n}_direct_route", route_c, route_a),
+            _check(f"square{n}_direct_route", v.route_c(n), route_a),
         ]
     return _guarded(f"square{n}_checks", go)
 

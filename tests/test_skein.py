@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from rootchi.laurent import LaurentPoly, PolyError, mono, one, substitute, var, zero
 from rootchi.linkdiag import SkeinSite, parse_braid, parse_link, parse_pd, skein_resolve
-from rootchi.skein import (ResourceBoundError, alexander, homfly_middle,
+from rootchi.skein import (ResourceBoundError, alexander, clear_z, homfly_middle,
                            homfly_reduced, homfly_unreduced, quantum_integer,
                            sln_poly, specialize)
 
@@ -167,6 +168,25 @@ def test_specialize_keeps_the_canonical_form():
     assert p == 3 * q ** 6 - 6 * q ** 4 + 3 * q ** 2 - Fraction(1, 2) * (q - q ** -1)
     assert all(type(c) is Fraction for _, c in p.terms)
     assert specialize(z * a ** -1 - z, "t", 0, 1) == zero()
+
+
+def _random_az(rng: random.Random, z_range: tuple[int, int]) -> LaurentPoly:
+    return LaurentPoly.make(("a", "z"), {
+        (2 * rng.randint(-4, 4), 2 * rng.randint(*z_range)):
+            Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))})
+
+
+def test_clear_z_matches_multiplying_by_z_to_the_k():
+    rng = random.Random(23)
+    polys = [_random_az(rng, (-4, 3)) for _ in range(200)]
+    # every term at z^-3: clearing leaves no z at all
+    polys += [_random_az(rng, (-3, -3)) for _ in range(20)]
+    polys += [3 * a * z ** -2, a ** 2 + a ** -1, zero(), one()]
+    for p in polys:
+        cleared, k = clear_z(p)
+        assert k == max(0, -p.exponent_range("z")[0] // 2)
+        assert cleared == p * z ** k  # vars too: no z slot of exponent 0 is left
+    assert clear_z(a * z ** -3 - 2 * a ** -1 * z ** -3) == (a - 2 * a ** -1, 3)
 
 
 @pytest.mark.parametrize("p, message", [

@@ -1,15 +1,19 @@
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
+import rootchi.laurent as laurent_mod
 import rootchi.skein as skein_mod
 import rootchi.verify as verify_mod
 from rootchi.corpus import CorpusEntry, bundled_corpus, parse_corpus
-from rootchi.laurent import PolyError, one, var
-from rootchi.linkdiag import SkeinSite, parse_link
-from rootchi.skein import alexander, homfly_unreduced
-from rootchi.verify import (CheckResult, reports_to_json, run_link_checks,
+from rootchi.cyclo import CycloNum, root
+from rootchi.laurent import PolyError, one, substitute, var
+from rootchi.linkdiag import SkeinSite, parse_braid_word, parse_link
+from rootchi.skein import alexander, homfly_reduced, homfly_unreduced
+from rootchi.verify import (CheckResult, LinkValues, reports_to_json, run_link_checks,
                             verify_oracle, verify_polynomial_identities,
                             verify_skein_triple, verify_square, verify_thm_hfk,
                             verify_thm_sln)
@@ -143,7 +147,7 @@ def test_run_link_checks_computes_each_sln_value_and_evaluation_once(monkeypatch
 
     def counting_specialize(p, name, alpha, beta, *signs):
         if name == "q":
-            specialized.append(alpha // 2)
+            specialized.append((alpha // 2, signs[:1] or (1,)))
         return real_specialize(p, name, alpha, beta, *signs)
 
     evaluations = []
@@ -161,11 +165,67 @@ def test_run_link_checks_computes_each_sln_value_and_evaluation_once(monkeypatch
         reports = run_link_checks(entry.name, entry.diagram(), range(1, 7),
                                   expected=entry.expected)
         assert all(r.ok for r in reports), entry.name
-        # one specialization a -> q^n, z -> q - q^-1 for each n
-        assert sorted(specialized) == list(range(1, 7)), entry.name
+        # one specialization a -> q^n, z -> q - q^-1 for each n, and route C's
+        # one a -> -1, z -> q - q^-1 for the link
+        assert sorted(specialized) == [(0, (-1,))] + [(n, (1,)) for n in range(1, 7)], \
+            entry.name
         total += len(specialized)
-    assert total == 180
+    assert total == 210
     assert len(evaluations) == 750
+
+
+def test_run_link_checks_divides_p_once_and_never_substitutes(monkeypatch):
+    """P is divided by a - a^(-1) once per link; every image of P is taken by
+    ``specialize``, never by ``laurent.substitute``."""
+    divisor, divided, substituted = a - a ** -1, [], []
+    real_div, real_sub = laurent_mod.exact_div, laurent_mod.substitute
+
+    def counting_div(p, d):
+        if d == divisor:
+            divided.append(p)
+        return real_div(p, d)
+
+    def counting_sub(*args):
+        substituted.append(args)
+        return real_sub(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("rootchi")]:
+        for attr, val in list(vars(module).items()):
+            if val is real_div or val is real_sub:
+                monkeypatch.setattr(module, attr,
+                                    counting_div if val is real_div else counting_sub)
+    entries = bundled_corpus()
+    for entry in entries:
+        reports = run_link_checks(entry.name, entry.diagram(), range(1, 4),
+                                  expected=entry.expected)
+        assert all(r.ok for r in reports), entry.name
+    assert len(divided) == len(entries) == 30
+    assert substituted == []
+
+
+def _route_c_by_substitution(d, n):
+    """The reduced P with a set to -1 by ``substitute``, then z^m read as
+    (e^(pi*i/n) - e^(-pi*i/n))^m, term by term."""
+    at_minus_1 = substitute(homfly_reduced(d), "a", Fraction(-1))
+    omega = root(n, 1) - root(n, -1)
+    value = CycloNum.from_rational(0)
+    for exps, coeff in at_minus_1.terms:
+        value = value + coeff * omega ** (exps[0] // 2 if exps else 0)
+    return value
+
+
+def test_route_c_matches_the_substitution_route():
+    rng = random.Random(2023)
+    diagrams = [e.diagram() for e in bundled_corpus()]
+    for _ in range(12):  # mixed-sign braids on 3-4 strands, at most 10 crossings
+        strands = rng.randint(3, 4)
+        word = [rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 10))]
+        diagrams.append(parse_braid_word(word, strands))
+    for d in diagrams:
+        values = LinkValues(d)
+        for n in range(1, 13):
+            assert values.route_c(n).pretty() == _route_c_by_substitution(d, n).pretty()
 
 
 def test_shared_values_neither_hide_nor_merge_failures(monkeypatch):
