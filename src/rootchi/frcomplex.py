@@ -16,12 +16,11 @@ Complexes and graded modules are valid by construction: their constructors
 enters.  Operations whose result is valid whenever their checked inputs are
 (shift, cones after the chain-map check, the Koszul tensor, homology as a
 complex) assemble it without checking it again.
-Homology dimensions come from one reduction per block of d, from the
-highest degree down with clearing: a block skips the rows of the targets at
-the pivot columns of the block above, which d^2 = 0 makes dependent.
-The spectral sequence of a filtration is read off one reduction per block of
-d: each source whose reduced image is nonzero pairs with the target at its
-pivot, and the pair lives on the pages up to their difference in level.
+Homology and the spectral sequence of a filtration are read off one cleared
+reduction per block of d (``_pairs``), from the highest degree down: a row's
+new pivot pairs its target with a source, a pair lives on the pages up to its
+difference in level, and the generators left unpaired with every level 0
+count the homology.
 
 The Euler characteristic of such a complex lives in the ring of integers of
 the cyclotomic field generated by e^(pi*i/n): a generator of degree alpha
@@ -35,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
@@ -125,6 +125,14 @@ def _integers(values, what: str) -> tuple[int, ...]:
         if type(x) is bool or not isinstance(x, int):
             raise ComplexError("shape", f"{what} must be an integer, got {x!r}")
     return values
+
+
+def _width(filtration) -> int:
+    """The spread of the filtration levels, at most ``MAX_FILTRATION_WIDTH``."""
+    width = max(filtration) - min(filtration) if filtration else 0
+    if width > MAX_FILTRATION_WIDTH:
+        raise ResourceBoundError(f"filtration width exceeds the bound {MAX_FILTRATION_WIDTH}")
+    return width
 
 
 def _residual(a: Columns, x: dict, b: Columns, y: dict) -> dict:
@@ -349,6 +357,34 @@ def _cycles(c: FracComplex, rows: list[int], cols: list[int]) -> list[tuple[int,
     return _null_space(Echelon(_block(c, rows, cols)), len(cols))
 
 
+def _pairs(c: FracComplex, levels: tuple[int, ...]) -> list[int | None]:
+    """Per generator, level(y) - level(x) of the pair (x, y) it lies in, or
+    None when it is unpaired.
+
+    The blocks of d run from the highest degree down, one ``Echelon`` each:
+    the sources C_u are its columns by level descending, and the targets
+    C_(u+n) are added as rows by level ascending, ties by index both ways; a
+    row's new pivot at column k pairs its target with the source at k.
+    Clearing skips the targets paired as sources in the block above: d^2 = 0
+    makes each such row a combination of rows of targets of no higher level,
+    so no rank between filtration levels, and no page, changes.
+    """
+    by_degree = _by_degree(c)
+    gaps: list[int | None] = [None] * c.dim
+    for u in sorted(by_degree, reverse=True):
+        if u + c.n in by_degree:
+            sources = sorted(by_degree[u], key=levels.__getitem__, reverse=True)
+            rows = [y for y in sorted(by_degree[u + c.n], key=levels.__getitem__)
+                    if gaps[y] is None]
+            ech = Echelon()
+            for y, row in zip(rows, _block(c, rows, sources)):
+                k = ech.place(row)
+                if k is not None:
+                    x = sources[k]
+                    gaps[x] = gaps[y] = levels[y] - levels[x]
+    return gaps
+
+
 def _scatter(v, positions: list[int], size: int) -> list[int]:
     out = [0] * size
     for x, k in zip(v, positions):
@@ -397,34 +433,16 @@ class HomologyResult:
 def homology(c: FracComplex) -> HomologyResult:
     """Degree-indexed homology dimensions with representative cycles.
 
-    The dimensions come from rank-nullity,
-    dim H_u = |C_u| - rank(d: C_u -> C_(u+1)) - rank(d: C_(u-1) -> C_u),
-    with the blocks of d reduced from the highest degree down, one
-    ``Echelon`` each, with clearing: the block at u takes one row per
-    target in C_(u+1) except the targets at the pivot columns of the block
-    above.  Those rows are known to be dependent: a reduced row of the
-    block above is a cochain whose coboundary is zero, so the row at its
-    pivot is a combination of rows of larger index.
+    The dimensions count the generators ``_pairs`` leaves unpaired with every
+    level 0: each pivot pairs a source with a target, and clearing pairs a
+    generator at most once, so degree u keeps |C_u| - rank d_u - rank d_(u-1).
     The representatives are built when first read (``rootchi complex hom``
     never reads them): in each degree, the kernel basis vectors that are
     independent of the image and of the representatives chosen before them.
     """
-    by_degree = _by_degree(c)
-    rank_out: dict[int, int] = {}
-    cleared: dict[int, set[int]] = {}  # degree -> its gens at the pivot columns of its block
-    for u in sorted(by_degree, reverse=True):
-        if u + c.n in by_degree:
-            cols, skip = by_degree[u], cleared.pop(u + c.n, ())
-            ech = Echelon(_block(c, [i for i in by_degree[u + c.n] if i not in skip], cols))
-            rank_out[u] = len(ech.pivots)
-            cleared[u] = {cols[k] for k in ech.pivots}
-    dims: dict[int, int] = {}
-    for u, cols in sorted(by_degree.items()):
-        k = len(cols) - rank_out.get(u, 0) - rank_out.get(u - c.n, 0)
-        if k:
-            dims[u] = k
+    unpaired = Counter(u for u, gap in zip(c.degrees, _pairs(c, (0,) * c.dim)) if gap is None)
     h = object.__new__(HomologyResult)
-    vars(h).update(dims=dims, _complex=c)
+    vars(h).update(dims=dict(sorted(unpaired.items())), _complex=c)
     return h
 
 
@@ -594,36 +612,19 @@ class SpectralSequence:
 
 
 def spectral_sequence(c: FracComplex) -> SpectralSequence:
-    """Pages of the filtration spectral sequence, from one filtered reduction
-    per block of d (the persistence pairing).
+    """Pages of the filtration spectral sequence, read off the persistence
+    pairing that ``_pairs`` gives with the filtration's levels.
 
-    In the block from degree u to degree u + n, targets are ordered by
-    (level, index) ascending and the sources are added to one ``Echelon`` in
-    the reverse order, (level, index) descending, so that every generator has
-    one position as a row and as a column.  An independent source x pairs
-    with the target y at its new pivot; the pair lives on the pages
-    r <= level(y) - level(x), and d_r with r = level(y) - level(x) kills it.
-    An unpaired generator lives on every page.  Page 0 is the associated
-    graded and E_infinity is page width + 1.
+    A pair (x, y) lives on the pages r <= level(y) - level(x), and d_r with
+    r = level(y) - level(x) kills it; an unpaired generator lives on every
+    page.  Page 0 is the associated graded and E_infinity is page width + 1;
+    a width above ``MAX_FILTRATION_WIDTH`` is a ResourceBoundError.
     """
     filtration = c.filtration or (0,) * c.dim
-    width = max(filtration) - min(filtration) if filtration else 0
-    last = width + 1
-    order = lambda i: (filtration[i], i)
-    lives = [last] * c.dim  # the last page each generator lives on
-    by_degree = _by_degree(c)
-    for u, cols in by_degree.items():
-        rows = sorted(by_degree.get(u + c.n, ()), key=order)
-        ech = Echelon()
-        for x in sorted(cols, key=order, reverse=True):
-            col = c.cols[x]
-            k = ech.place([col.get(i, 0) for i in rows])
-            if k is not None:
-                y = rows[k]
-                lives[x] = lives[y] = filtration[y] - filtration[x]
+    last = _width(filtration) + 1
     pages: list[dict[tuple[int, int], int]] = [{} for _ in range(last + 1)]
-    for key, life in zip(zip(filtration, c.degrees), lives):
-        for page in pages[:life + 1]:
+    for key, gap in zip(zip(filtration, c.degrees), _pairs(c, filtration)):
+        for page in pages[:last + 1 if gap is None else gap + 1]:
             page[key] = page.get(key, 0) + 1
     infinity = pages[last]
     stab = next(r for r in range(last + 1) if pages[r] == infinity)
@@ -696,8 +697,7 @@ def complex_from_json(text: str) -> FracComplex:
     c = build(n, degrees, rows, filtration=filtration, names=names)
     if c.n > MAX_N:
         raise ResourceBoundError(f"n = {c.n} exceeds the bound {MAX_N}")
-    if c.filtration and max(c.filtration) - min(c.filtration) > MAX_FILTRATION_WIDTH:
-        raise ResourceBoundError(f"filtration width exceeds the bound {MAX_FILTRATION_WIDTH}")
+    _width(c.filtration)
     return c
 
 

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from rootchi import frcomplex
 from rootchi.cyclo import CycloNum, root
-from rootchi.frcomplex import (ComplexError, Echelon, build, build_module,
+from rootchi.frcomplex import (MAX_FILTRATION_WIDTH, ComplexError, Echelon, build, build_module,
                                chi_of_dims, complex_from_json, complex_to_json,
                                cone, euler_char, graded_homology_dims, homology,
                                homology_complex, kernel, koszul_tensor, rank,
                                shift, spectral_sequence, unknot_hfkn)
+from rootchi.linkdiag import ResourceBoundError
 from rootchi.synth import random_chain_map, random_complex, random_graded_module
+from test_homology_clearing import filtered_identity_cone
 
 F = Fraction
 
@@ -323,15 +325,19 @@ def reference_pages(c):
 @st.composite
 def _filtered_complexes(draw):
     """Seeded synth complexes (tied levels, levels spread and moved, some
-    conjugated to Fraction entries), Koszul complexes and empty complexes."""
-    kind = draw(st.sampled_from(["synth", "synth", "rational", "koszul", "empty"]))
+    conjugated to Fraction entries), filtered cones of the identity, whose
+    blocks clearing leaves with only independent rows, Koszul complexes and
+    empty complexes."""
+    kind = draw(st.sampled_from(["synth", "synth", "rational", "cone", "koszul", "empty"]))
     n = draw(st.integers(1, 4))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if kind == "empty":
         return build(n, [], [], filtration=draw(st.sampled_from([None, []])))
     if kind == "koszul":
         return koszul_tensor(random_graded_module(rng, n, draw(st.integers(0, 3)), max_dim=4))
-    c = random_complex(rng, n, max_dim=9, filtered=draw(st.booleans()))
+    c = random_complex(rng, n, max_dim=9, filtered=kind == "cone" or draw(st.booleans()))
+    if kind == "cone":
+        c = filtered_identity_cone(c)
     rows = [list(row) for row in c.diff]
     if kind == "rational":
         g = rng.randrange(c.dim)
@@ -353,6 +359,18 @@ def test_spectral_sequence_matches_reference_pages(c):
     assert ss.pages == tuple(want)
     assert ss.infinity == want[-1]
     assert ss.stabilization == next(r for r, page in enumerate(want) if page == want[-1])
+
+
+def test_spectral_sequence_bounds_the_filtration_width():
+    # the pages are built only after the width is checked, for Python callers too
+    c = build(1, [0, 1], [[0, 0], [1, 0]], filtration=[0, MAX_FILTRATION_WIDTH])
+    ss = spectral_sequence(c)
+    assert len(ss.pages) == MAX_FILTRATION_WIDTH + 2
+    assert ss.pages[MAX_FILTRATION_WIDTH] == {(0, 0): 1, (MAX_FILTRATION_WIDTH, 1): 1}
+    assert ss.infinity == {}
+    with pytest.raises(ResourceBoundError):
+        spectral_sequence(build(1, [0, 1], [[0, 0], [1, 0]],
+                                filtration=[-1, MAX_FILTRATION_WIDTH]))
 
 
 def test_spectral_sequence_never_builds_a_kernel(monkeypatch):

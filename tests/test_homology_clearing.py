@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from rootchi import frcomplex
 from rootchi.frcomplex import (_block, _by_degree, build, cone, homology, koszul_tensor,
-                               rank)
+                               rank, spectral_sequence)
 from rootchi.synth import random_chain_map, random_complex, random_graded_module
 
 F = Fraction
@@ -41,6 +41,12 @@ def _rescaled(rng, c):
 
 def _identity(c):
     return [[int(i == j) for j in range(c.dim)] for i in range(c.dim)]
+
+
+def filtered_identity_cone(x):
+    """cone(I, x, x) with x's filtration levels on both halves."""
+    c = cone(_identity(x), x, x)
+    return build(c.n, c.degrees, c.diff, filtration=x.filtration * 2)
 
 
 def _complexes(seed: int, count: int):
@@ -79,8 +85,8 @@ def test_dims_match_on_stacked_blocks():
         assert homology(cone(_identity(x), x, x)).dims == {}
 
 
-def _dependent_rows(monkeypatch, c) -> int:
-    """How many rows ``homology(c)`` reduces to zero."""
+def _dependent_rows(monkeypatch, c, reduction=homology) -> int:
+    """How many rows ``reduction(c)`` reduces to zero."""
     zeros = []
     place = frcomplex.Echelon.place
 
@@ -91,7 +97,7 @@ def _dependent_rows(monkeypatch, c) -> int:
 
     with monkeypatch.context() as m:
         m.setattr(frcomplex.Echelon, "place", counted)
-        homology(c)
+        reduction(c)
     return sum(zeros)
 
 
@@ -118,3 +124,14 @@ def test_cone_of_the_identity_reduces_no_row_to_zero(monkeypatch):
     c = cone(_identity(x), x, x)
     assert homology(c).dims == {}
     assert _dependent_rows(monkeypatch, c) == 0
+
+
+def test_spectral_sequence_reduces_no_row_of_a_filtered_cone_to_zero(monkeypatch):
+    # the cone is acyclic, so clearing leaves each block exactly rank-many rows,
+    # whatever the levels: a filtered reduction must clear as homology does
+    rng = random.Random(3)
+    for _ in range(40):
+        x = random_complex(rng, rng.randint(1, 4), max_dim=12, filtered=True)
+        c = filtered_identity_cone(x)
+        assert spectral_sequence(c).infinity == {}
+        assert _dependent_rows(monkeypatch, c, spectral_sequence) == 0
