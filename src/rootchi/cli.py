@@ -154,7 +154,7 @@ def cmd_complex(args) -> int:
         ss = spectral_sequence(c)
         for r, page in enumerate(ss.pages):
             cells = ", ".join(f"(p={p}, deg={_fmt_deg(u, c.n)}): {d}"
-                              for (p, u), d in sorted(page.items())) or "0"
+                              for (p, u), d in page.items()) or "0"
             print(f"E_{r}: {cells}")
         print(f"stabilizes at E_{ss.stabilization}; chi = {ss.page_chi(0).pretty()}")
     return EXIT_OK

@@ -282,6 +282,25 @@ def test_elimination_kernel_matches_reference(mat):
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for v in basis for row in rows)
 
 
+def test_ragged_rows_are_a_shape_error():
+    for call in (lambda: Echelon([[1, 0, 0], [1, 1]]).rref(),
+                 lambda: Echelon([[1, 1], [1, 0, 0]]),
+                 lambda: rank([[0, 1], [1, 0, 5]]),
+                 lambda: kernel([[1, 2]], 3),
+                 lambda: kernel([[1, 0, 0], [0, 1]], 3),
+                 lambda: kernel([[1, 2, 3]], 2)):
+        with pytest.raises(ComplexError) as err:
+            call()
+        assert err.value.kind == "shape"
+    # a zero first row sets the width too; no row sets it for kernel
+    assert kernel([], 2) == [[1, 0], [0, 1]]
+    ech = Echelon()
+    assert ech.add([0, 0, 0]) is False
+    with pytest.raises(ComplexError):
+        ech.add([1, 0])
+    assert ech.add([0, 0, 1]) and ech.pivots == [2]
+
+
 # -- the persistence pairing against the cycle spaces Z_r^p ------------------------
 
 
@@ -390,6 +409,43 @@ def test_spectral_sequence_never_builds_a_kernel(monkeypatch):
     assert calls
 
 
+def _permuted(c, perm):
+    """c with generator k moved to position perm.index(k): the differential,
+    filtration and names move with it."""
+    d = c.diff
+    return build(c.n, [c.degrees[k] for k in perm], [[d[a][b] for b in perm] for a in perm],
+                 filtration=[c.filtration[k] for k in perm],
+                 names=[c.names[k] for k in perm])
+
+
+def _filtered_cases(rng):
+    """Seeded filtered complexes and filtered cones of seeded chain maps: the
+    source at its own levels, the target above all of them."""
+    for k in range(40):
+        n = rng.randint(1, 4)
+        x = random_complex(rng, n, max_dim=9, filtered=True)
+        if k % 2 == 0:
+            yield x
+            continue
+        y = random_complex(rng, n, max_dim=6, filtered=True)
+        z = cone(random_chain_map(rng, x, y), x, y)
+        top = max(x.filtration) + 1
+        yield build(n, z.degrees, z.diff, names=z.names,
+                    filtration=list(x.filtration) + [top + p for p in y.filtration])
+
+
+def test_pages_are_canonical_under_a_permutation_of_generators():
+    rng = random.Random(26)
+    for c in _filtered_cases(rng):
+        ss = spectral_sequence(c)
+        for page in ss.pages + (ss.infinity,):
+            assert list(page) == sorted(page)
+        for _ in range(3):
+            perm = list(range(c.dim))
+            rng.shuffle(perm)
+            assert repr(spectral_sequence(_permuted(c, perm))) == repr(ss)
+
+
 # -- graded homology against the per-level route -----------------------------------
 
 
@@ -451,13 +507,18 @@ def _graded_cases():
 
 
 def test_graded_homology_matches_the_per_level_route(monkeypatch):
-    def refuse(c):
-        raise AssertionError("graded_homology_dims called spectral_sequence")
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"graded_homology_dims called {name}")
+        return refused
 
-    monkeypatch.setattr(frcomplex, "spectral_sequence", refuse)
     kinds = set()
     for kind, c in _graded_cases():
-        got = graded_homology_dims(c)
+        # E_infinity and graded homology stay two routes: the walk never pairs
+        with monkeypatch.context() as m:
+            for name in ("spectral_sequence", "_pairs"):
+                m.setattr(frcomplex, name, refuse(name))
+            got = graded_homology_dims(c)
         assert got == reference_graded_homology_dims(c), kind
         assert sum(got.values()) == sum(homology(c).dims.values())
         kinds.add(kind)

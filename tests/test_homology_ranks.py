@@ -63,5 +63,6 @@ def test_equality_and_repr_do_not_depend_on_reading_order():
         fresh = homology(c)
         assert repr(fresh) == repr(read_first)
         assert homology(c) == read_first
-        assert read_first == HomologyResult(dict(read_first.dims), reps)
-        assert repr(HomologyResult(read_first.dims, reps)) == repr(homology(c))
+        assert read_first == HomologyResult(dict(read_first.dims), c)
+        assert repr(HomologyResult(read_first.dims, c)) == repr(homology(c))
+        assert HomologyResult(read_first.dims, c).representatives == reps
