@@ -9,14 +9,14 @@ degree shift of 1/n.
 One power table per order does every reduction modulo Phi_m: the 2n powers
 of e^(pi*i/n) in Q(zeta_2n), each the one before times x with x^phi(2n)
 replaced through the monic Phi_2n.  A sum of c * x^k is read off it by
-``root_sum``, and so are products (the convolution of the two vectors) and
-embeddings into a larger order (x -> x^step).  ``CycloNum.inverse`` solves
-self * b = 1 as a linear system over Q, through the exact elimination
-kernel of :mod:`rootchi.frcomplex`.  The tables hold integers, and every
-coefficient of a value is an ``int`` when it is integral and a ``Fraction``
-only when it is not, so products and sums of integral values stay in ``int``
-arithmetic.  The tables of the ``_POWER_TABLES`` most recently used orders
-are kept.
+``root_sum``, and so are products (the convolution of the two vectors),
+embeddings into a larger order (x -> x^step) and Galois conjugates
+(x -> x^j, j a unit mod the order).  ``CycloNum.inverse`` is the product of
+the other conjugates over the rational norm.  The tables hold integers, and
+every coefficient of a value is an ``int`` when it is integral and a
+``Fraction`` only when it is not, so products and sums of integral values
+stay in ``int`` arithmetic.  The tables of the ``_POWER_TABLES`` most
+recently used orders are kept.
 
 Everything is exact; the only complex floating point in this module lives in
 :meth:`CycloNum.to_complex`, which exists for human-readable reports and is
@@ -29,7 +29,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .laurent import LaurentPoly, PolyError, Rat, as_fraction
 
@@ -107,8 +107,11 @@ class CycloNum:
             return self
         if m % self.order:
             raise ValueError(f"{m} is not a multiple of order {self.order}")
-        step = m // self.order
-        return root_sum(m // 2, ((i * step, c) for i, c in enumerate(self.coeffs) if c))
+        return self._at_power(m, m // self.order)
+
+    def _at_power(self, m: int, j: int) -> "CycloNum":
+        """zeta -> zeta_m^j in Q(zeta_m): an embedding, or with m = order a conjugate."""
+        return root_sum(m // 2, ((i * j, c) for i, c in enumerate(self.coeffs) if c))
 
     @staticmethod
     def _common(a: "CycloNum", b: "CycloNum") -> tuple["CycloNum", "CycloNum", int]:
@@ -184,24 +187,20 @@ class CycloNum:
         return out
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse: the b with self * b = 1, read off the kernel
-        of the multiplication matrix (column j is self * x^j) with -1 appended
-        as a last column in the constant-term row."""
-        # frcomplex imports this module, so its kernel is imported here
-        from .frcomplex import kernel
-
+        """With x this element scaled to integer coefficients: the product of its
+        conjugates x(zeta^j), j != 1 a unit mod the order, over the norm x * product."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi, x = _phi(self.order), root(self.order // 2, 1)
-        cols, col = [], self
-        for _ in range(phi):
-            cols.append(col.coeffs)
-            col = col * x
-        rows = [[c[i] for c in cols] + [-1 if i == 0 else 0] for i in range(phi)]
-        (b,) = kernel(rows, phi + 1)  # self is a unit, so b ends in 1
-        return CycloNum(self.order, tuple(map(_canonical, b[:phi])))
+        m, scale = self.order, lcm(*(c.denominator for c in self.coeffs))
+        x = CycloNum(m, tuple(_canonical(c * scale) for c in self.coeffs))
+        others = prod((x._at_power(m, j) for j in range(3, m, 2) if gcd(j, m) == 1),
+                      start=CycloNum.from_rational(1, m))
+        norm = (x * others).rational_value()
+        return CycloNum(m, tuple(_canonical(Fraction(c * scale, norm)) for c in others.coeffs))
 
     def __eq__(self, other):
+        if type(other) is bool:  # a bool equals no CycloNum, as it equals no LaurentPoly
+            return False
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

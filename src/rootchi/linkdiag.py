@@ -7,13 +7,14 @@ label occurs exactly once as the head of a strand (an ``*_in`` slot) and
 once as a tail (an ``*_out`` slot); following tails to heads partitions the
 edges into closed oriented components.
 
-One walk, ``_walk``, follows each component from its smallest edge label;
-``normalize``, ``canonical_key``, ``first_non_descending`` and
-``LinkDiagram.components`` all read it.  ``canonical_key``, the skein memo
-key, restarts each component of the walk at the least rotation of its word
-of (sign, under) letters, found by comparing the rotations that start on
-the least letter, so relabeled copies of a diagram share one key while the
-key still describes the diagram completely.
+One walk, ``_walk``, follows each component from its smallest edge label.
+A diagram keeps its walk (``LinkDiagram._walked``), so it is walked at most
+once: ``validate``, ``normalize``, ``canonical_key``, ``first_non_descending``
+and ``LinkDiagram.components`` all read the kept result.  ``canonical_key``,
+the skein memo key, restarts each component of the walk at the least
+rotation of its word of (sign, under) letters, found by comparing the
+rotations that start on the least letter, so relabeled copies of a diagram
+share one key while the key still describes the diagram completely.
 
 The walk assumes a valid diagram and checks only that the edges close up
 into strands.  The full check,
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import itemgetter
 
 
@@ -73,7 +75,13 @@ class LinkDiagram:
 
     @property
     def components(self) -> int:
-        return len(_walk(self.crossings)[0]) + self.unknot_count
+        return len(self._walked[0]) + self.unknot_count
+
+    @cached_property
+    def _walked(self) -> tuple[list[list[int]], dict[int, tuple[int, bool, int]]]:
+        """``_walk`` of the crossings, kept; its readers do not change it.  A
+        walk that raises keeps nothing, so it raises again on the next read."""
+        return _walk(self.crossings)
 
     def stats(self) -> tuple[int, int, int]:
         return (self.components, self.writhe, len(self.crossings))
@@ -137,12 +145,12 @@ def validate(d: LinkDiagram) -> None:
         for e in c.edges():
             if type(e) is not int or e < 1:
                 raise DiagramError(f"edge labels must be positive integers, got {e!r}")
-    _walk(d.crossings)
+    d._walked  # the walk raises where the edges do not close up into strands
 
 
 def normalize(d: LinkDiagram) -> LinkDiagram:
     """Relabel edges 1..2c in traversal order; crossing order is preserved."""
-    cycles, _ = _walk(d.crossings)
+    cycles, _ = d._walked
     r = {e: k for k, e in enumerate((e for cycle in cycles for e in cycle), 1)}
     return LinkDiagram(tuple(Crossing(c.sign, r[c.under_in], r[c.under_out],
                                       r[c.over_in], r[c.over_out]) for c in d.crossings),
@@ -187,7 +195,7 @@ def canonical_key(d: LinkDiagram):
     key stays complete there but two relabelings of one diagram may differ;
     without such ties any relabeling and crossing order give one key.
     """
-    cycles, step = _walk(d.crossings)
+    cycles, step = d._walked
     signs = [c.sign for c in d.crossings]
     strands = []
     for cycle in cycles:
@@ -437,7 +445,7 @@ def simplify(d: LinkDiagram) -> LinkDiagram:
 def first_non_descending(d: LinkDiagram) -> int | None:
     """Index of the first crossing met on its understrand, traversing
     components in label order; None when the diagram is descending."""
-    cycles, step = _walk(d.crossings)
+    cycles, step = d._walked
     met: set[int] = set()
     for cycle in cycles:
         for e in cycle:

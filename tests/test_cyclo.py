@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from rootchi import cyclo
 from rootchi.cyclo import CycloNum, cyclotomic_poly, eval_at_root, root, root_sum
-from rootchi.laurent import mono, one, var
+from rootchi.frcomplex import kernel
+from rootchi.laurent import PolyError, mono, one, var
 from rootchi.skein import quantum_integer
 
 q, t = var("q"), var("t")
@@ -195,20 +197,81 @@ def test_to_order_matches_long_division():
             assert a.to_order(2 * n * step).coeffs == want, (n, step)
 
 
-@pytest.mark.parametrize("order", [2, 24, 400])
-def test_inverse_at_small_and_large_orders(order):
-    rng = random.Random(order)
-    # six seeded terms: a dense element of order 400 has an inverse with
-    # coefficients of hundreds of digits, which only slows the test down
+def _sparse(rng, order, terms):
+    """A nonzero sum of ``terms`` seeded roots with small rational weights: a
+    dense element of order 400 has an inverse with coefficients of hundreds
+    of digits, which only slows a test down."""
     x = CycloNum.from_rational(0, order)
     while x.is_zero():
         x = sum((root(order // 2, rng.randrange(order)) * Fraction(rng.randint(-5, 5),
                                                                     rng.randint(1, 4))
-                 for _ in range(6)), x)
+                 for _ in range(terms)), x)
+    return x
+
+
+@pytest.mark.parametrize("order", [2, 24, 400])
+def test_inverse_at_small_and_large_orders(order):
+    x = _sparse(random.Random(order), order, 6)
     inv = x.inverse()
     assert x * inv == 1
     one_vec = _reference_reduce(_convolve(x.coeffs, inv.coeffs), order)
     assert one_vec == (1,) + (0,) * (len(one_vec) - 1)
+
+
+def _kernel_inverse(x):
+    """The construction the norm route replaced: the b with x * b = 1, read
+    off the kernel of the multiplication matrix (column j is x * zeta^j)
+    with -1 appended as a last column in the constant-term row."""
+    phi, z = len(x.coeffs), root(x.order // 2, 1)
+    cols, col = [], x
+    for _ in range(phi):
+        cols.append(col.coeffs)
+        col = col * z
+    rows = [[c[i] for c in cols] + [-1 if i == 0 else 0] for i in range(phi)]
+    (b,) = kernel(rows, phi + 1)  # x is a unit, so b ends in 1
+    return tuple(c.numerator if c.denominator == 1 else c for c in b[:phi])
+
+
+def _assert_inverse_matches_kernel(x):
+    got, want = x.inverse().coeffs, _kernel_inverse(x)
+    assert got == want, (x.order, x.coeffs)
+    assert list(map(type, got)) == list(map(type, want)), (x.order, x.coeffs)
+
+
+def test_inverse_matches_the_kernel_reference():
+    """300 seeded elements: most of orders up to 120, whose references are
+    quick, and ten spread over orders up to 400."""
+    rng = random.Random(2027)
+    orders = [2 + 2 * (k % 60) for k in range(290)]
+    orders += [2 * rng.randint(61, 199) for _ in range(8)] + [398, 400]
+    for order in orders:
+        _assert_inverse_matches_kernel(_sparse(rng, order, rng.randint(1, 6)))
+
+
+def test_inverse_matches_the_kernel_reference_at_order_800():
+    # two seeded terms: the kernel reference takes over 10 s on some
+    # elements of three terms at this order
+    rng = random.Random(800)
+    for _ in range(2):
+        _assert_inverse_matches_kernel(_sparse(rng, 800, 2))
+
+
+def test_inverse_needs_no_complex_layer(monkeypatch):
+    """Inverting imports nothing: with rootchi loaded and rootchi.frcomplex
+    then made unimportable, an inverse still comes out."""
+    monkeypatch.setitem(sys.modules, "rootchi.frcomplex", None)
+    x = root(12, 5) + Fraction(2, 3)
+    assert x * x.inverse() == 1
+
+
+def test_a_bool_equals_no_cyclonum():
+    x = root(2, 1)
+    assert (x == True) is False and (x != True) is True  # noqa: E712
+    assert (root(1, 0) == True) is False and root(1, 0) == 1  # noqa: E712
+    assert True not in [x] and False not in [CycloNum.from_rational(0)]
+    for op in (lambda: x + True, lambda: x * False, lambda: True - x):
+        with pytest.raises(PolyError):
+            op()
 
 
 @cache

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rootchi import linkdiag
 from rootchi.alexoracle import alex_matrix_poly
 from rootchi.corpus import bundled_corpus
 from rootchi.linkdiag import (_PD_X, Crossing, DiagramError, LinkDiagram, SkeinSite,
@@ -228,6 +229,24 @@ def test_engines_validate_raw_diagrams(crossings, malformed_edges):
     if malformed_edges:
         with pytest.raises(DiagramError):
             d.components
+
+
+@pytest.mark.parametrize("text", [TREFOIL_PD, "BR[3; 1 -2 1 -2 1 -2]",
+                                  "BR[3; 1 2 1 2 1 2 1 2]", "BR[4; 1 -2 3 -1 2 -3 1]"])
+def test_the_skein_recursion_walks_each_diagram_once(monkeypatch, text):
+    """A diagram keeps its walk, so its memo key, its pivot crossing and its
+    component count are all read off one walk.  A walk is told apart by the
+    crossing tuple it follows; the tuples are kept, so no id is reused."""
+    walk, walked = linkdiag._walk, []
+
+    def recording_walk(crossings):
+        walked.append(crossings)
+        return walk(crossings)
+
+    d = parse_link(text)
+    monkeypatch.setattr(linkdiag, "_walk", recording_walk)
+    homfly_unreduced(d)
+    assert walked and len({id(c) for c in walked}) == len(walked)
 
 
 @pytest.mark.parametrize("build", [
