@@ -9,7 +9,8 @@ degree shift of 1/n.
 One power table per order does every reduction modulo Phi_m: the 2n powers
 of e^(pi*i/n) in Q(zeta_2n), each the one before times x with x^phi(2n)
 replaced through the monic Phi_2n.  A sum of c * x^k is read off it by
-``root_sum``, and so are products (the convolution of the two vectors),
+``root_sum``, through the nonzero entries of each power past x^phi (those
+rows are sparse), and so are products (the convolution of the two vectors),
 embeddings into a larger order (x -> x^step) and Galois conjugates
 (x -> x^j, j a unit mod the order).  ``CycloNum.inverse`` is the product of
 the other conjugates over the rational norm.  The tables hold integers, and
@@ -258,6 +259,14 @@ def _powers(n: int) -> tuple[CycloNum, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=_POWER_TABLES)
+def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (index, coefficient) pairs of each power in ``_powers(n)``
+    from x^phi on: these rows are sparse, so a sum reads only their nonzeros."""
+    return tuple(tuple((i, x) for i, x in enumerate(p.coeffs) if x)
+                 for p in _powers(n)[_phi(2 * n):])
+
+
 def root(n: int, k: int) -> CycloNum:
     """The root of unity e^(pi*i*k/n) as an element of Q(zeta_2n)."""
     return _powers(n)[k % (2 * n)]
@@ -266,16 +275,15 @@ def root(n: int, k: int) -> CycloNum:
 def root_sum(n: int, terms) -> CycloNum:
     """Sum of c * e^(pi*i*k/n) over (k, c) pairs, in Q(zeta_2n): exponents are
     bucketed mod 2n, then the power table is combined once."""
-    powers, phi = _powers(n), _phi(2 * n)
+    rows, phi = _sparse_rows(n), _phi(2 * n)
     weights = [0] * (2 * n)
     for k, c in terms:
         weights[k % (2 * n)] += _canonical(c)
     vec = weights[:phi]  # x^k with k < phi is a basis vector
-    for w, power in zip(weights[phi:], powers[phi:]):
+    for w, row in zip(weights[phi:], rows):
         if w:
-            for i, x in enumerate(power.coeffs):
-                if x:
-                    vec[i] += w * x
+            for i, x in row:
+                vec[i] += w * x
     return CycloNum(2 * n, tuple(map(_canonical, vec)))
 
 

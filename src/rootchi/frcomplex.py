@@ -36,7 +36,6 @@ e^(-pi*i/n); those facts are what the verification suite exercises.
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,6 +46,7 @@ from math import gcd, lcm
 from numbers import Rational
 
 from .cyclo import CycloNum, root_sum
+from .laurent import _parse_fraction
 from .linkdiag import ResourceBoundError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -58,8 +58,6 @@ _EXACT = {int, Fraction}
 # Q(zeta_2n) holds 2n * phi(2n) integers, so its time and memory grow as n^2
 MAX_N = 200
 MAX_FILTRATION_WIDTH = 1000  # spectral_sequence keeps width + 2 pages
-_MAX_EXPONENT = 400  # Fraction expands "1e-k" in full; finite floats need 324
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 class ComplexError(ValueError):
@@ -693,7 +691,7 @@ def complex_from_json(text: str) -> FracComplex:
         degrees = [g["deg_times_n"] for g in gens]
         names = [g.get("name", f"x{i}") for i, g in enumerate(gens)]
         filts = [g.get("filt") for g in gens]
-        rows = [[_entry(x) for x in row] for row in data["differential"]]
+        rows = [[_parse_fraction(str(x)) for x in row] for row in data["differential"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ComplexError("shape", f"bad complex JSON: {e}")
     filtration = None
@@ -704,11 +702,3 @@ def complex_from_json(text: str) -> FracComplex:
         raise ResourceBoundError(f"n = {c.n} exceeds the bound {MAX_N}")
     _width(c.filtration)
     return c
-
-
-def _entry(x) -> Fraction:
-    text = str(x)
-    m = _EXPONENT.search(text)
-    if m and abs(int(m.group(1))) > _MAX_EXPONENT:
-        raise ComplexError("shape", f"exponent of {text!r} exceeds {_MAX_EXPONENT}")
-    return Fraction(text)

@@ -17,7 +17,7 @@ import json
 from numbers import Rational
 
 from .cyclo import CycloNum, root
-from .laurent import LaurentPoly, Rat
+from .laurent import LaurentPoly, Rat, _parse_fraction
 
 
 class TableError(ValueError):
@@ -32,8 +32,16 @@ def _doubled(x: Rat) -> int:
                          f"{type(x).__name__} {x!r}")
     d = Fraction(x) * 2
     if d.denominator != 1:
-        raise TableError(f"degree {x} is not a half-integer")
+        raise TableError(f"degree {_shown(x)} is not a half-integer")
     return int(d)
+
+
+def _shown(x: Rat) -> str:
+    """``str(x)``, or a stand-in where that would pass int()'s digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return "(too long to print)"
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,7 @@ def make_table(labels, half, entries) -> DimTable:
         for i, d in enumerate(key):
             if not half[i] and d % 2:
                 raise TableError(
-                    f"slot {labels[i]} is integral but degree {Fraction(d, 2)} is not")
+                    f"slot {labels[i]} is integral but degree {_shown(Fraction(d, 2))} is not")
         acc[key] = acc.get(key, 0) + dim
     return DimTable(labels, half, tuple(sorted(acc.items())))
 
@@ -249,7 +257,9 @@ def _deg_to_json(d: int):
 
 
 def _deg_from_json(x) -> Fraction:
-    if isinstance(x, str) or isinstance(x, int) and not isinstance(x, bool):
+    if isinstance(x, str):
+        return _parse_fraction(x)
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TableError(f"bad degree value {x!r}")
 

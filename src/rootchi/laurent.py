@@ -9,6 +9,9 @@ Values are immutable and canonical: zero coefficients are dropped, variables
 that occur only with exponent zero are dropped, variable names are kept
 sorted, and terms are kept in descending graded-lexicographic order.  Two
 equal polynomials therefore compare equal structurally and hash alike.
+
+:func:`serialize` writes the text form; :func:`parse_poly` reads it with one
+regular expression for a factor and one loop over the signed terms.
 """
 
 from __future__ import annotations
@@ -380,146 +383,83 @@ def _exp_str(name: str, d: int) -> str:
 
 def serialize(p: LaurentPoly) -> str:
     """Deterministic text form, terms in descending graded-lex order."""
-    if p.is_zero():
-        return "0"
     pieces: list[str] = []
     for exps, c in p.terms:
         factors = [_exp_str(v, e) for v, e in zip(p.vars, exps) if e != 0]
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        sign = ("" if c > 0 else "-") if not pieces else ("+ " if c > 0 else "- ")
+        pieces.append(sign + "*".join(factors))
+    return " ".join(pieces) or "0"
 
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\(|\)|/|\+|-)")
-
-
-def _tokenize(text: str) -> list[str]:
-    out, i = [], 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            if text[i:].strip():
-                raise PolyParseError(f"unexpected character at {text[i:]!r}")
-            break
-        out.append(m.group(1))
-        i = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self) -> str:
-        t = self.peek()
-        if t is None:
-            raise PolyParseError("unexpected end of input")
-        self.i += 1
-        return t
-
-    def number(self) -> Fraction:
-        t = self.take()
-        if not t.isdigit():
-            raise PolyParseError(f"expected number, got {t!r}")
-        val = Fraction(int(t))
-        if self.peek() == "/":
-            self.take()
-            den = self.take()
-            if not den.isdigit() or int(den) == 0:
-                raise PolyParseError("bad denominator")
-            val /= int(den)
-        return val
-
-    def exponent(self) -> int:
-        """Doubled exponent after '^': n or (n), n/1 or n/2, each optionally negative."""
-        paren = self.peek() == "("
-        if paren:
-            self.take()
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        num = self.take()
-        if not num.isdigit():
-            raise PolyParseError("bad exponent")
-        d = 2 * sign * int(num)
-        if paren:
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if den not in ("1", "2"):
-                    raise PolyParseError("exponent denominator must be 1 or 2")
-                d //= int(den)
-            if self.take() != ")":
-                raise PolyParseError("expected ')'")
-        return d
-
-    def term(self) -> tuple[dict[str, int], Fraction]:
-        """One product term: its doubled exponents by variable and its coefficient."""
-        coeff = Fraction(1)
-        exps: dict[str, int] = {}
-        saw = False
-        while True:
-            t = self.peek()
-            if t is None or t in "+-":
-                break
-            if t == "*":
-                self.take()
-                continue
-            if t.isdigit():
-                coeff *= self.number()
-                saw = True
-                continue
-            if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", t):
-                self.take()
-                d = 2
-                if self.peek() == "^":
-                    self.take()
-                    d = self.exponent()
-                exps[t] = exps.get(t, 0) + d
-                saw = True
-                continue
-            raise PolyParseError(f"unexpected token {t!r}")
-        if not saw:
-            raise PolyParseError("empty term")
-        return exps, coeff
+_FACTOR = re.compile(r"""
+    (?: \s* (?P<sign>[+-]) )?         # a sign opens the next term
+    [\s*]*                            # blanks, and any *s before the factor
+    (?: (?P<num>\d+) (?: \s* / \s* (?P<den>\d+) )?
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+        (?: \s* \^ \s* (?P<paren>\( \s*)? (?P<neg>-\s*)? (?P<exp>\d+)
+            (?(paren) \s* (?: / \s* (?P<half>[12]) (?!\d) \s* )? \) ) )?
+    )
+    [\s*]*                            # and any *s after it
+    """, re.VERBOSE)
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse the textual polynomial grammar emitted by :func:`serialize`."""
-    toks = _tokenize(text)
-    if not toks:
-        raise PolyParseError("empty input")
-    p = _Parser(toks)
-    terms = []
-    op = p.take() if p.peek() in "+-" else "+"
-    while True:
-        exps, coeff = p.term()
-        terms.append((exps, -coeff if op == "-" else coeff))
-        if p.peek() is None:
-            break
-        op = p.take()
-        if op not in "+-":
-            raise PolyParseError(f"expected + or -, got {op!r}")
-    vs = tuple(sorted({v for exps, _ in terms for v in exps}))
+    """Read the text that :func:`serialize` writes, in this grammar, with
+    blanks allowed between any two symbols::
+
+        poly     = ["+" | "-"] term {("+" | "-") term}
+        term     = {"*"} factor {{"*"} factor} {"*"}
+        factor   = digits ["/" digits] | name ["^" exponent]
+        exponent = ["-"] digits | "(" ["-"] digits ["/" ("1" | "2")] ")"
+
+    A term is the product of its factors (``2 3 t`` and ``2t*t`` are 6*t and
+    2*t^2); a name is ``[A-Za-z_][A-Za-z_0-9]*``, a digit any Unicode decimal
+    digit.  A zero denominator, a number past int()'s digit limit or text
+    outside the grammar is a PolyParseError.
+    """
+    exps: list[dict[str, int]] = []  # per term: doubled exponent by name
+    coeffs: list[Fraction] = []
+    pos = 0
+    while m := _FACTOR.match(text, pos):
+        pos = m.end()
+        if m["sign"] or not exps:
+            exps.append({})
+            coeffs.append(Fraction(-1 if m["sign"] == "-" else 1))
+        try:
+            num, den, k = (int(m[g] or "1") for g in ("num", "den", "exp"))
+        except ValueError:
+            raise PolyParseError("a number past int()'s digit limit") from None
+        if m["name"]:
+            d = k * (-2 if m["neg"] else 2) // (2 if m["half"] == "2" else 1)
+            exps[-1][m["name"]] = exps[-1].get(m["name"], 0) + d
+        elif den:
+            coeffs[-1] *= Fraction(num, den)
+        else:
+            raise PolyParseError("zero denominator")
+    if not exps or pos < len(text):
+        raise PolyParseError(f"cannot read {text[pos:]!r}")
+    vs = tuple(sorted({v for e in exps for v in e}))
     acc: dict[tuple[int, ...], Fraction] = {}
-    for exps, c in terms:
-        key = tuple(exps.get(v, 0) for v in vs)
+    for e, c in zip(exps, coeffs):
+        key = tuple(e.get(v, 0) for v in vs)
         acc[key] = acc.get(key, 0) + c
     return LaurentPoly.make(vs, acc)
+
+
+_MAX_EXPONENT = 400  # Fraction expands "1e-k" in full; finite floats need 324
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, the rationals of the JSON forms, refusing a decimal
+    exponent beyond +-400 before Fraction expands it.  A refusal is a
+    ValueError or ZeroDivisionError, which each caller maps to its own error."""
+    m = _EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > _MAX_EXPONENT:
+        raise PolyError(f"exponent of {text!r} exceeds {_MAX_EXPONENT}")
+    return Fraction(text)
 
 
 # -- rational pairs -----------------------------------------------------------

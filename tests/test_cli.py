@@ -286,6 +286,28 @@ def test_verify_malformed_expect_directive_is_a_parse_error(tmp_path, capsys,
         assert err.startswith("error: line 2: malformed expect directive")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_overlong_number_in_an_expect_value_is_a_parse_error(tmp_path, capsys, jobs):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a: BR[2; 1 1]\n"
+                      f"# expect a alexander: t^{'9' * 5000}\n"
+                      "b: BR[2; -1 -1 -1]\n")
+    code, out, err = run_cli(["verify", "--corpus", str(corpus), "--n-range", "1..2",
+                              "--jobs", jobs], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "digit limit" in err
+
+
+def test_verify_report_to_a_directory_is_an_io_error(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("tref: BR[2; 1 1 1]\n")
+    code, _, err = run_cli(["verify", "--corpus", str(corpus), "--n-range", "1..2",
+                            "--report", str(tmp_path)], capsys)
+    assert code == 4
+    assert err.startswith("cannot write report")
+
+
 def test_verify_corpus_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_bytes(b"tref: BR[2; 1 1 1]\n# caf\xff\n")
@@ -428,6 +450,14 @@ def test_complex_hom(tmp_path, capsys):
     code, out, _ = run_cli(["complex", "hom", str(f)], capsys)
     assert code == 0
     assert out.splitlines() == ["deg -1/2: 1", "deg 1/2: 1"]
+
+
+def test_complex_hom_of_an_acyclic_complex(tmp_path, capsys):
+    f = tmp_path / "c.json"
+    f.write_text(_two_generator_json(1))
+    code, out, _ = run_cli(["complex", "hom", str(f)], capsys)
+    assert code == 0
+    assert out == "homology is zero\n"
 
 
 @pytest.mark.parametrize("action", ["hom", "chi", "ss"])

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,3 +200,20 @@ def test_unreadable_degree_in_json_is_a_table_error(degree):
                        "entries": [{"deg": ["<degree>", 0], "dim": 1}]})
     with pytest.raises(TableError):
         table_from_json(text.replace('"<degree>"', degree))
+
+
+@pytest.mark.parametrize("degree", ["1e-100000", "1e-10000000"])
+def test_degree_exponent_beyond_the_bound_is_refused_at_once(degree):
+    text = json.dumps({"labels": ["a", "b"], "half": [False, False],
+                       "entries": [{"deg": [degree, 0], "dim": 1}]})
+    t0 = time.perf_counter()
+    with pytest.raises(TableError, match="exceeds 400"):
+        table_from_json(text)
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("degree", [F(1, 10 ** 5000), F(2 * 10 ** 5000 + 1, 2)],
+                         ids=["not a half-integer", "half in an integral slot"])
+def test_degree_too_long_to_print_is_a_table_error(degree):
+    with pytest.raises(TableError, match="too long to print"):
+        make_table(("a", "b"), (False, False), {(degree, 0): 1})

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,48 @@ def test_serialize_parse_examples():
         parse_poly("t^^2")
     with pytest.raises(PolyParseError):
         parse_poly("+")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("2 3 t", 6 * t),
+    ("2t", 2 * t),
+    ("t*t", t ** 2),
+    ("* t **", t),
+    ("t * + a", t + a),
+    ("- 2/4 t ^ ( - 3 / 2 )", Fraction(-1, 2) * mono(1, t=Fraction(-3, 2))),
+    ("t^(3/1) + t^(-2) + t^- 2", t ** 3 + 2 * t ** -2),
+    ("t^-1 t", one()),
+    ("\u0663t", 3 * t),  # an Arabic-Indic three
+    ("x_1\t+\n1/2", var("x_1") + Fraction(1, 2)),
+])
+def test_reader_accepts_the_stated_grammar(text, want):
+    assert parse_poly(text) == want
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "*", "*+t", "t +", "--t", "2/0", "2/", "t^(1/3)", "t^(1/12)",
+    "t^1/2", "t^(1/2", "(t)", "t^+1", "t $", "2/3/4",
+])
+def test_reader_refuses_text_outside_the_grammar(text):
+    with pytest.raises(PolyParseError):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["t^" + "9" * 5000, "9" * 5000 + "*t", "1/" + "9" * 5000],
+                         ids=["exponent", "coefficient", "denominator"])
+def test_overlong_number_is_a_parse_error(text):
+    with pytest.raises(PolyParseError, match="digit limit"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text", [" *" * 50_000, "t^(" + " " * 100_000,
+                                  "t" + " " * 100_000 + "+" + "*" * 100_000],
+                         ids=["blanks and stars", "open exponent", "dangling sign"])
+def test_long_refusals_take_linear_time(text):
+    t0 = time.perf_counter()
+    with pytest.raises(PolyParseError):
+        parse_poly(text)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_parse_coefficients_and_multivar():

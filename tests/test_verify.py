@@ -1,3 +1,4 @@
+import cmath
 import json
 import random
 import sys
@@ -268,3 +269,29 @@ foo: BR[2; 1 1]
     reports = run_link_checks("foo", entries[0].diagram(), [],
                               expected=entries[0].expected)
     assert reports[0].ok
+
+
+def test_parity_check_counts_wrong_parity_terms():
+    z = var("z")
+    good = a * z + a ** 2 - z ** -2
+    assert verify_mod._parity_check("p", good, want_odd=False) == \
+        CheckResult("p", "pass", "0 offending terms", "0 offending terms")
+    bad = verify_mod._parity_check("p", good + a * z ** 2, want_odd=False)
+    assert bad == CheckResult("p", "fail", "1 offending terms", "0 offending terms")
+
+
+def test_approx_fields_only_on_cyclotomic_and_rational_sides():
+    zeta = root(3, 1) * 2 + Fraction(1, 2)
+    assert abs(zeta.to_complex() - (2 * cmath.exp(1j * cmath.pi / 3) + 0.5)) < 1e-12
+    rational = CycloNum.from_rational(Fraction(-3, 2), 6)
+    rep = verify_mod.VerifyReport("x", 1, 3, [
+        verify_mod._check("cyclo", zeta, rational),
+        verify_mod._check("poly", a + 1, one()),
+        CheckResult("parity", "fail", "1 offending terms", "0 offending terms")])
+    fmt = lambda w: f"{w.real:.6g}{w.imag:+.6g}i"
+    cyc, poly, parity = json.loads(reports_to_json([rep], approx=True))[0]["checks"]
+    assert (cyc["lhs_approx"], cyc["rhs_approx"]) == (fmt(zeta.to_complex()), "-1.5+0i")
+    assert "lhs_approx" not in poly and poly["rhs_approx"] == "1+0i"
+    assert "lhs_approx" not in parity and "rhs_approx" not in parity
+    plain = json.loads(reports_to_json([rep]))[0]["checks"]
+    assert not any(k.endswith("_approx") for check in plain for k in check)
