@@ -22,9 +22,10 @@ new pivot pairs its target with a source, a pair lives on the pages up to its
 difference in level, and the generators left unpaired with every level 0
 count the homology.  Every page, and E_infinity, iterates in sorted
 (level, degree) order, whatever the pairing.  Homology representatives and
-the graded homology share a second walk (``_quotients``): per degree, the
-cycles that raise the rank of Z_p + B, levels from the highest down; it never
-reads the pairing, so E_infinity and graded homology stay two routes.
+the graded homology share a second walk (``_quotients``): per degree, one
+reduction of d over the gens by level descending gives each Z_p as the kernel
+of a prefix, and the cycles that raise the rank of Z_p + B are filed by level;
+it never reads the pairing, so E_infinity and graded homology stay two routes.
 
 The Euler characteristic of such a complex lives in the ring of integers of
 the cyclotomic field generated by e^(pi*i/n): a generator of degree alpha
@@ -41,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import gcd, lcm
 from numbers import Rational
 
@@ -89,25 +90,27 @@ def _integral(row, i: int | None = None) -> tuple[list[int], int]:
 
 
 def _columns(rows, nrows: int, ncols: int) -> tuple[Columns, int]:
-    """Read a dense matrix once, row by row with ``_integral``: its nonzero
-    entries as integer columns over the lcm of the rows' denominators."""
+    """Read a dense matrix once: its nonzero entries as integer columns over
+    the lcm of their denominators.  The types of the whole matrix are read
+    once.  An all-int matrix is taken as it is; otherwise the nonzero entries,
+    column by column, go through ``_integral`` as one row, and only a matrix
+    holding another type has each row checked by ``_integral`` in turn."""
     if len(rows) != nrows:
         raise ComplexError("shape", f"expected {nrows} rows, got {len(rows)}")
+    kinds = set(map(type, chain.from_iterable(rows)))
     cols: list[dict] = [{} for _ in range(ncols)]
-    dens = []
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ComplexError("shape", f"expected {ncols} columns, got {len(row)}")
-        row, d = _integral(row, i)
-        dens.append(d)
+        if not kinds <= _EXACT:
+            _integral(row, i)
         for j in compress(range(ncols), row):
             cols[j][i] = row[j]
-    den = lcm(*dens)
-    if den > 1:
-        for col in cols:
-            for i in col:
-                col[i] *= den // dens[i]
-    return tuple(cols), den
+    if kinds <= _INT:
+        return tuple(cols), 1
+    values, den = _integral([x for col in cols for x in col.values()])
+    values = iter(values)
+    return tuple({i: next(values) for i in col} for col in cols), den
 
 
 def _dense(cols: Columns, den: int) -> Matrix:
@@ -406,27 +409,25 @@ def _quotients(c: FracComplex, filtration) -> dict[tuple[int, int], list[tuple[i
     """Per (level p, degree u), the integer cycles over the gens of C_u that
     raised the rank of Z_p + B, B the image of d, each with its free column.
 
-    In each degree one ``Echelon``, seeded with B, takes the kernel basis of
-    each filtered part F_p from the highest level p down; F_p contains
-    F_(p+1), so the cycles found at p span (Z_p + B) / (Z_(p+1) + B).  Keys
-    run by degree in order of first appearance, then by level ascending.
+    In each degree the block of d is reduced once over the gens by level
+    descending, ties by index, so each filtered part F_p is a prefix, and the
+    kernel vectors of its free columns, zero past them, span Z_p.  One
+    ``Echelon`` seeded with B takes them in column order and files each that
+    raises its rank under its free column's level, so the cycles at p span
+    (Z_p + B) / (Z_(p+1) + B).  Keys run by degree in order of first
+    appearance, then by level ascending.
     """
-    levels = sorted(set(filtration), reverse=True)
     by_degree = _by_degree(c)
     out: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
     for u, gens in by_degree.items():
-        targets = by_degree.get(u + c.n, [])
+        order = sorted(range(len(gens)), key=lambda k: -filtration[gens[k]])
+        block = _block(c, by_degree.get(u + c.n, []), [gens[k] for k in order])
         ech = Echelon([c.cols[j].get(i, 0) for i in gens] for j in by_degree.get(u - c.n, []))
-        pos: list[int] = []
-        found = {}
-        for p in levels:
-            grown = [k for k, j in enumerate(gens) if filtration[j] >= p]
-            if len(grown) > len(pos):
-                pos = grown
-                kern = _null_space(Echelon(_block(c, targets, [gens[k] for k in pos])), len(pos))
-                found[p] = [(pos[fc], v) for fc, w in kern
-                            if ech.add(v := _scatter(w, pos, len(gens)))]
-        out.update(((p, u), vectors) for p, vectors in reversed(found.items()) if vectors)
+        found: dict[int, list[tuple[int, list[int]]]] = {}
+        for fc, w in _null_space(Echelon(block), len(gens)):
+            if ech.add(v := _scatter(w, order, len(gens))):
+                found.setdefault(filtration[gens[order[fc]]], []).append((order[fc], v))
+        out.update(((p, u), vectors) for p, vectors in reversed(found.items()))
     return out
 
 
@@ -461,7 +462,8 @@ class HomologyResult:
     @cached_property
     def representatives(self) -> dict[int, list[tuple[Fraction, ...]]]:
         """Per degree, ascending, the cycles ``_quotients`` finds with every
-        level 0, each scaled to 1 at its free column, over all generators."""
+        level 0 (one reduction of the block of d, in generator order), each
+        scaled to 1 at its free column, over all generators."""
         c = self.source
         by_degree = _by_degree(c)
         return {u: [tuple(Fraction(x, w[fc]) if x else _ZERO
@@ -659,9 +661,9 @@ def spectral_sequence(c: FracComplex) -> SpectralSequence:
 
 def graded_homology_dims(c: FracComplex) -> dict[tuple[int, int], int]:
     """Dimensions of the filtration's associated graded on homology: per
-    (p, u), the cycles ``_quotients`` finds there, the walk that also gives the
-    homology representatives.  It never reads the pairing, so it stays a
-    second route to E_infinity."""
+    (p, u), the cycles ``_quotients`` files under level p, one reduction per
+    degree, in the walk that also gives the homology representatives.  It
+    never reads the pairing, so it stays a second route to E_infinity."""
     return {key: len(vectors)
             for key, vectors in _quotients(c, c.filtration or (0,) * c.dim).items()}
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number, Rational
@@ -416,8 +417,9 @@ def parse_poly(text: str) -> LaurentPoly:
 
     A term is the product of its factors (``2 3 t`` and ``2t*t`` are 6*t and
     2*t^2); a name is ``[A-Za-z_][A-Za-z_0-9]*``, a digit any Unicode decimal
-    digit.  A zero denominator, a number past int()'s digit limit or text
-    outside the grammar is a PolyParseError.
+    digit.  A zero denominator, text outside the grammar or a number past
+    int()'s digit limit, as read or as the terms form it (a product of
+    factors, a sum of exponents or of like terms), is a PolyParseError.
     """
     exps: list[dict[str, int]] = []  # per term: doubled exponent by name
     coeffs: list[Fraction] = []
@@ -430,12 +432,14 @@ def parse_poly(text: str) -> LaurentPoly:
         try:
             num, den, k = (int(m[g] or "1") for g in ("num", "den", "exp"))
         except ValueError:
-            raise PolyParseError("a number past int()'s digit limit") from None
+            raise _past_digit_limit() from None
         if m["name"]:
             d = k * (-2 if m["neg"] else 2) // (2 if m["half"] == "2" else 1)
-            exps[-1][m["name"]] = exps[-1].get(m["name"], 0) + d
+            d = exps[-1][m["name"]] = exps[-1].get(m["name"], 0) + d
+            _printable(Fraction(d, 2))  # serialize prints d / 2
         elif den:
             coeffs[-1] *= Fraction(num, den)
+            _printable(coeffs[-1])
         else:
             raise PolyParseError("zero denominator")
     if not exps or pos < len(text):
@@ -445,7 +449,21 @@ def parse_poly(text: str) -> LaurentPoly:
     for e, c in zip(exps, coeffs):
         key = tuple(e.get(v, 0) for v in vs)
         acc[key] = acc.get(key, 0) + c
+        _printable(acc[key])
     return LaurentPoly.make(vs, acc)
+
+
+def _past_digit_limit() -> PolyParseError:
+    return PolyParseError(f"a number past int()'s digit limit "
+                          f"({sys.get_int_max_str_digits()} digits)")
+
+
+def _printable(x: Fraction) -> None:
+    """Refuse a number that str(), and so serialize, cannot print."""
+    try:
+        str(x)
+    except ValueError:
+        raise _past_digit_limit() from None
 
 
 _MAX_EXPONENT = 400  # Fraction expands "1e-k" in full; finite floats need 324

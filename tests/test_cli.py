@@ -288,15 +288,17 @@ def test_verify_malformed_expect_directive_is_a_parse_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_overlong_number_in_an_expect_value_is_a_parse_error(tmp_path, capsys, jobs):
+    # the product's two factors each pass int(), but str() cannot print the coefficient
     corpus = tmp_path / "c.txt"
-    corpus.write_text("a: BR[2; 1 1]\n"
-                      f"# expect a alexander: t^{'9' * 5000}\n"
-                      "b: BR[2; -1 -1 -1]\n")
-    code, out, err = run_cli(["verify", "--corpus", str(corpus), "--n-range", "1..2",
-                              "--jobs", jobs], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "digit limit" in err
+    for value in [f"t^{'9' * 5000}", f"{'9' * 4000} {'9' * 4000}*t"]:
+        corpus.write_text("a: BR[2; 1 1]\n"
+                          f"# expect a alexander: {value}\n"
+                          "b: BR[2; -1 -1 -1]\n")
+        code, out, err = run_cli(["verify", "--corpus", str(corpus), "--n-range", "1..2",
+                                  "--jobs", jobs], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "digit limit" in err
 
 
 def test_verify_report_to_a_directory_is_an_io_error(tmp_path, capsys):

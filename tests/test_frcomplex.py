@@ -525,6 +525,19 @@ def test_graded_homology_matches_the_per_level_route(monkeypatch):
     assert len(kinds) == 6
 
 
+def test_graded_homology_reduces_each_degree_once(monkeypatch):
+    # every filtered part F_p is a prefix of one column order, so one kernel
+    # per degree serves all levels
+    calls = []
+    null_space = frcomplex._null_space
+    monkeypatch.setattr(frcomplex, "_null_space",
+                        lambda *args: calls.append(1) or null_space(*args))
+    for kind, c in _graded_cases():
+        calls.clear()
+        graded_homology_dims(c)
+        assert len(calls) == len(set(c.degrees)), kind
+
+
 def test_square_zero_is_checked_once_per_complex_that_enters(monkeypatch):
     checked = []
     residual = frcomplex._residual

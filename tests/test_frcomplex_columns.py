@@ -11,6 +11,7 @@ from math import lcm
 
 import pytest
 
+from rootchi import frcomplex
 from rootchi.frcomplex import (ComplexError, Echelon, FracComplex, GradedModule, build,
                                build_module, complex_from_json, complex_to_json,
                                cone, homology, homology_complex, kernel, koszul_tensor,
@@ -209,6 +210,21 @@ def test_one_entry_rule_at_every_entry_point(entry):
         want = _entry_points(F(entry))
         for name, call in calls.items():
             assert _held(call()) == _held(want[name]()), name
+
+
+def test_matrix_types_are_read_once(monkeypatch):
+    # an all-int matrix never reaches the row reader; a rational one reaches it
+    # once, with its nonzero entries
+    calls = []
+    integral = frcomplex._integral
+    monkeypatch.setattr(frcomplex, "_integral", lambda *args: calls.append(1) or integral(*args))
+    for c, rows in _samples():
+        calls.clear()
+        ints = [[c.cols[j].get(i, 0) for j in range(c.dim)] for i in range(c.dim)]
+        assert_columns(build(c.n, c.degrees, ints, filtration=c.filtration), ints)
+        assert calls == []
+        assert_columns(build(c.n, c.degrees, rows, filtration=c.filtration), rows)
+        assert len(calls) == 1
 
 
 def test_check_messages_name_the_failure():

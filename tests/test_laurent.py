@@ -156,11 +156,21 @@ def test_reader_refuses_text_outside_the_grammar(text):
         parse_poly(text)
 
 
-@pytest.mark.parametrize("text", ["t^" + "9" * 5000, "9" * 5000 + "*t", "1/" + "9" * 5000],
-                         ids=["exponent", "coefficient", "denominator"])
+@pytest.mark.parametrize("text", [
+    "t^" + "9" * 5000, "9" * 5000 + "*t", "1/" + "9" * 5000,
+    # each number passes int(), but what the terms make of them is too long to print
+    "9" * 4000 + " " + "9" * 4000 + "*t", "1/" + "9" * 4000 + " 1/" + "9" * 4000,
+    f"t^{'9' * 4300} t^{'9' * 4300}", f"{'9' * 4300}*t + {'9' * 4300}*t",
+], ids=["exponent", "coefficient", "denominator", "product", "denominator product",
+        "exponent sum", "like terms"])
 def test_overlong_number_is_a_parse_error(text):
-    with pytest.raises(PolyParseError, match="digit limit"):
+    with pytest.raises(PolyParseError, match=r"digit limit \(\d+ digits\)"):
         parse_poly(text)
+
+
+def test_numbers_at_the_digit_limit_are_read_and_printed():
+    for text in ["9" * 4300 + "*t^" + "9" * 4300, "t^(-" + "9" * 4300 + "/2)"]:
+        assert serialize(parse_poly(text)) == text
 
 
 @pytest.mark.parametrize("text", [" *" * 50_000, "t^(" + " " * 100_000,
